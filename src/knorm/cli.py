@@ -30,6 +30,7 @@ from .milnor import (
     get_extension,
     k_group,
     projection_formula_check,
+    release_caches,
     verify_hilbert90,
     verify_voevodsky_seq,
 )
@@ -118,7 +119,8 @@ def _load_field(args) -> LocalField:
     if getattr(args, "precision", None):
         spec = dict(spec)
         spec["precision"] = args.precision
-    return LocalField.from_spec(spec)
+    args.loaded_field = LocalField.from_spec(spec)
+    return args.loaded_field
 
 
 def _resolve_a(field: LocalField, text: str) -> PadicElement:
@@ -131,16 +133,18 @@ def _resolve_a(field: LocalField, text: str) -> PadicElement:
             raise InputError("the field has no primitive p-th root of unity")
         return field.zeta
     try:
-        return field.element(int(text))
+        a = field.element(int(text))
     except ValueError:
-        pass
-    try:
-        digits = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"cannot parse the extension element {text!r}: {exc}") from exc
-    if not isinstance(digits, list):
-        raise InputError("a JSON extension element must be a digit list")
-    return field.element(digits)
+        try:
+            digits = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"cannot parse the extension element {text!r}: {exc}") from exc
+        if not isinstance(digits, list):
+            raise InputError("a JSON extension element must be a digit list")
+        a = field.element(digits)
+    if a.is_zero():
+        raise InputError("the extension element must be nonzero")
+    return a
 
 
 def _degrees(args, default=(1, 2, 3)) -> list[int]:
@@ -442,6 +446,9 @@ def main(argv=None) -> int:
     except KnormError as exc:  # pragma: no cover
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if getattr(args, "loaded_field", None) is not None:
+            release_caches(args.loaded_field)
 
 
 def console_main() -> None:

@@ -37,6 +37,7 @@ __all__ = [
     "class_of",
     "class_of_bruteforce",
     "get_extension",
+    "release_caches",
     "norm_subgroup",
     "symbol",
     "compare_symbols",
@@ -297,6 +298,19 @@ def get_extension(field: LocalField, a) -> KummerExtension:
         rep = field.k1_element(list(key))
         cache[key] = KummerExtension(field, rep, label=_key_label(field, key))
     return cache[key]
+
+
+def release_caches(field: LocalField) -> None:
+    """Empty the caches of a field and of the Kummer tops built over it.
+
+    Cached groups and extensions point back at their fields, so the
+    fields sit in reference cycles; breaking them frees the memory at
+    once, without a full garbage collection.
+    """
+    for ext in field._caches.get("kummer_exts", {}).values():
+        ext.cache.clear()
+        release_caches(ext.top)
+    field._caches.clear()
 
 
 def _key_label(field: LocalField, key: tuple) -> str:

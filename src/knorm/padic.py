@@ -17,10 +17,16 @@ the wild bound they need and raise PrecisionError instead of guessing,
 and an element whose retained digits are all zero without being an
 exact zero refuses to answer zero-ness questions.
 
-Valuations are read off the multiplication matrix on the flattened
-coordinate space, which works uniformly for every tower shape, including
-adjoined p-th-root steps whose rings of integers exceed the monomial
-lattice.
+Valuations and residues are read off coordinates over the integral basis
+{r_j * pi^i : i < e, j < f} built from the stored uniformizer pi and
+residue-basis lifts r_j (Serre, *Local Fields*, Ch. I, Sec. 6, Prop. 18).
+Each field caches T = B^-1, B the flattened matrix of that basis, so this
+works uniformly for every tower shape, including adjoined p-th-root steps
+whose rings of integers exceed the monomial lattice.  With c = T * x,
+v(x) = min(e * v_p(c_ij) + i): weights of distinct i differ mod e, so
+only the minimum of one i-block can tie.  The valuation is returned only
+when no coordinate whose digits were lost could weigh less than it, and
+the residue of an integral x is (c_0j mod p).
 """
 
 from __future__ import annotations
@@ -132,13 +138,6 @@ class _Ctx:
         if m == 0:
             raise PrecisionError("inverting a value indistinguishable from zero")
         return (-e, pow(m, -1, self.ppow(r)), r)
-
-    def c_shift(self, a, k: int):
-        """Multiply by p^k."""
-        e, m, r = a
-        if m == 0:
-            return a if e >= ZERO_EXP else (e + k, 0, 0)
-        return (e + k, m, r)
 
 
 class _Step:
@@ -252,9 +251,6 @@ class PadicElement:
             return v >= floor
         return v == _INF or v >= floor
 
-    def is_unit(self) -> bool:
-        return self.valuation() == 0
-
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is NotImplemented:
@@ -290,6 +286,8 @@ class LocalField:
     def __init__(self, p: int, steps=None, precision: int | None = None) -> None:
         if not isinstance(p, int) or not is_prime(p) or p >= 1 << 16:
             raise InputError(f"p must be a prime below 2^16, got {p!r}")
+        if not isinstance(precision, (int, type(None))):
+            raise InputError(f"precision must be an integer, got {precision!r}")
         field = LocalField._qp(p, precision)
         specs = list(steps or [])
         for i, spec in enumerate(specs):
@@ -318,7 +316,7 @@ class LocalField:
         self.q = p**self.f
         self.wild = (p * self.e) // (p - 1)
         policy_min = self.wild + 5
-        self.prec = default_precision(p, self.e) if precision is None else int(precision)
+        self.prec = default_precision(p, self.e) if precision is None else precision
         if self.prec < policy_min:
             raise InputError(f"precision {self.prec} below the policy minimum {policy_min}")
         M = max(-(-self.prec // self.e), self.wild) + 16
@@ -352,9 +350,9 @@ class LocalField:
             extra = set(spec) - {"kind", "degree"}
             if extra:
                 raise InputError(f"unknown unramified-step keys: {sorted(extra)}")
-            deg = int(spec.get("degree", 0))
-            if deg < 2:
-                raise InputError("unramified step needs degree >= 2")
+            deg = spec.get("degree", 0)
+            if not isinstance(deg, int) or deg < 2:
+                raise InputError(f"unramified step needs an integer degree >= 2, got {deg!r}")
             return self._with_unramified(deg, precision)
         if kind == "eisenstein":
             extra = set(spec) - {"kind", "coeffs"}
@@ -565,12 +563,85 @@ class LocalField:
             self._caches["monomials"] = mons
         return mons
 
-    # -- valuation and inversion via the multiplication matrix -----------------
+    # -- linear algebra on flattened coordinates ----------------------------------
 
     def _mult_matrix(self, x):
         cols = [self._flatten(self._mul(self.level, x, m)) for m in self._monomials()]
         n = self.degree
         return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+    def _eliminate(self, mat, rhs):
+        """Solve mat * X = rhs by Gauss-Jordan elimination, pivoting on the
+        entry of least exponent; mat is n x n and rhs n x k, both consumed.
+        Returns the n rows of X."""
+        c_add, c_mul, c_neg = self.ctx.c_add, self.ctx.c_mul, self.ctx.c_neg
+        n = len(mat)
+        rows_left = list(range(n))
+        cols_left = list(range(n))
+        sol = [None] * n
+        for _ in range(n):
+            best = None
+            for i in rows_left:
+                for j in cols_left:
+                    c = mat[i][j]
+                    if c[1] != 0 and (best is None or c[0] < best[2]):
+                        best = (i, j, c[0])
+            if best is None:
+                raise PrecisionError("elimination failed: matrix lost precision")
+            bi, bj, _ = best
+            inv = self.ctx.c_inv(mat[bi][bj])
+            prow = mat[bi] = [c_mul(c, inv) for c in mat[bi]]
+            prhs = rhs[bi] = [c_mul(c, inv) for c in rhs[bi]]
+            for i in range(n):
+                if i == bi:
+                    continue
+                factor = mat[i][bj]
+                if factor[1] == 0 and factor[0] >= ZERO_EXP:
+                    continue
+                nf = c_neg(factor)
+                mat[i] = [c_add(a, c_mul(nf, b)) for a, b in zip(mat[i], prow)]
+                rhs[i] = [c_add(a, c_mul(nf, b)) for a, b in zip(rhs[i], prhs)]
+                mat[i][bj] = CZERO
+            sol[bj] = bi
+            rows_left.remove(bi)
+            cols_left.remove(bj)
+        return [rhs[bi] for bi in sol]
+
+    def _inv(self, x):
+        flat = self._flatten(x)
+        if all(c[1] == 0 for c in flat):
+            raise PrecisionError("inverting an element indistinguishable from zero")
+        if self.degree == 1:
+            return self.ctx.c_inv(x)
+        rhs = [[CZERO] for _ in range(self.degree)]
+        rhs[0] = [(0, 1, self.ctx.M)]
+        sol = self._eliminate(self._mult_matrix(x), rhs)
+        return self._unflatten([row[0] for row in sol])
+
+    # -- coordinates over the integral basis {r_j * pi^i} ----------------------------
+
+    def _basis_coords(self, flat):
+        """T * x for flattened x: the coordinate of r_j * pi^i sits at i*f + j."""
+        T = self._caches.get("basis_inverse")
+        if T is None:
+            cols = []
+            pik = self._one_raw()
+            for _ in range(self.e):
+                cols += [self._flatten(self._mul(self.level, pik, r)) for r in self._residue_basis]
+                pik = self._mul(self.level, pik, self._pi)
+            n = self.degree
+            ident = [[(0, 1, self.ctx.M) if k == l else CZERO for k in range(n)] for l in range(n)]
+            T = self._eliminate([[col[l] for col in cols] for l in range(n)], ident)
+            self._caches["basis_inverse"] = T
+        c_add, c_mul = self.ctx.c_add, self.ctx.c_mul
+        live = [(l, c) for l, c in enumerate(flat) if c[1] != 0 or c[0] < ZERO_EXP]
+        out = []
+        for row in T:
+            acc = CZERO
+            for l, c in live:
+                acc = c_add(acc, c_mul(row[l], c))
+            out.append(acc)
+        return out
 
     def _val_or_bound(self, x):
         """Exact valuation (int), _INF for an exact zero, or a float lower
@@ -581,86 +652,15 @@ class LocalField:
             return _INF if min_exp >= ZERO_EXP else float(self.e * min_exp)
         if self.degree == 1:
             return flat[0][0]
-        mat = self._mult_matrix(x)
-        n = self.degree
-        rows = list(range(n))
-        cols = list(range(n))
-        pivot_sum = 0
-        for _ in range(n):
-            best = None
-            for i in rows:
-                for j in cols:
-                    c = mat[i][j]
-                    if c[1] != 0 and (best is None or c[0] < best[2]):
-                        best = (i, j, c[0])
-            if best is None:
-                raise PrecisionError("valuation undetermined: matrix lost precision")
-            bi, bj, bexp = best
-            pivot_sum += bexp
-            inv = self.ctx.c_inv(mat[bi][bj])
-            for i in rows:
-                if i == bi:
-                    continue
-                factor = self.ctx.c_mul(mat[i][bj], inv)
-                if factor[1] == 0:
-                    continue
-                nf = self.ctx.c_neg(factor)
-                for j in cols:
-                    if j == bj:
-                        continue
-                    mat[i][j] = self.ctx.c_add(mat[i][j], self.ctx.c_mul(nf, mat[bi][j]))
-                mat[i][bj] = CZERO
-            rows.remove(bi)
-            cols.remove(bj)
-        if pivot_sum % self.f:
-            raise MathCheckError("norm valuation not divisible by the residue degree")
-        return pivot_sum // self.f
-
-    def _inv(self, x):
-        flat = self._flatten(x)
-        if all(c[1] == 0 for c in flat):
-            raise PrecisionError("inverting an element indistinguishable from zero")
-        if self.degree == 1:
-            return self.ctx.c_inv(x)
-        mat = self._mult_matrix(x)
-        n = self.degree
-        rhs = [CZERO] * n
-        rhs[0] = (0, 1, self.ctx.M)
-        rows_left = list(range(n))
-        cols_left = list(range(n))
-        pivots = []
-        for _ in range(n):
-            best = None
-            for i in rows_left:
-                for j in cols_left:
-                    c = mat[i][j]
-                    if c[1] != 0 and (best is None or c[0] < best[2]):
-                        best = (i, j, c[0])
-            if best is None:
-                raise PrecisionError("inversion failed: matrix lost precision")
-            bi, bj, _ = best
-            inv = self.ctx.c_inv(mat[bi][bj])
-            for j in range(n):
-                mat[bi][j] = self.ctx.c_mul(mat[bi][j], inv)
-            rhs[bi] = self.ctx.c_mul(rhs[bi], inv)
-            for i in range(n):
-                if i == bi:
-                    continue
-                factor = mat[i][bj]
-                if factor[1] == 0:
-                    continue
-                nf = self.ctx.c_neg(factor)
-                for j in range(n):
-                    mat[i][j] = self.ctx.c_add(mat[i][j], self.ctx.c_mul(nf, mat[bi][j]))
-                rhs[i] = self.ctx.c_add(rhs[i], self.ctx.c_mul(nf, rhs[bi]))
-                mat[i][bj] = CZERO
-            pivots.append((bi, bj))
-            rows_left.remove(bi)
-            cols_left.remove(bj)
-        sol = [CZERO] * n
-        for bi, bj in pivots:
-            sol[bj] = rhs[bi]
-        return self._unflatten(sol)
+        v = lost = _INF
+        for k, (exp, mant, _) in enumerate(self._basis_coords(flat)):
+            if mant:
+                v = min(v, self.e * exp + k // self.f)
+            elif exp < ZERO_EXP:
+                lost = min(lost, self.e * exp + k // self.f)
+        if v <= lost and v != _INF:
+            return v
+        raise PrecisionError("valuation undetermined at working precision")
 
     # -- public element API -----------------------------------------------------
 
@@ -736,33 +736,33 @@ class LocalField:
 
     def residue_reps(self):
         """All p^f lifts of residue-field elements as (coords, raw) pairs."""
-        reps = self._caches.get("residue_reps")
-        if reps is None:
-            reps = []
-            for combo in itertools.product(range(self.p), repeat=self.f):
-                acc = self._zero_raw()
-                for c, b in zip(combo, self._residue_basis):
-                    if c:
-                        acc = self._add(self.level, acc, self._mul(self.level, self._int_raw(c), b))
-                reps.append((combo, acc))
-            self._caches["residue_reps"] = reps
-        return reps
+        return [
+            (combo, self._rep_raw(combo))
+            for combo in itertools.product(range(self.p), repeat=self.f)
+        ]
 
     def residue_of(self, x) -> tuple:
         """Coordinates of x mod the maximal ideal over the residue basis."""
         data = x.data if isinstance(x, PadicElement) else x
-        for coords, rep in self.residue_reps():
-            diff = self._add(self.level, data, self._neg(self.level, rep))
-            v = self._val_or_bound(diff)
-            if v == _INF or v >= 1:
-                return coords
-        raise PrecisionError("no residue representative matches (non-integral input?)")
+        coords = self._basis_coords(self._flatten(data))
+        for k, (exp, mant, _) in enumerate(coords):
+            # integral needs every v_p(c_ij) >= 0; the i = 0 block also needs its digit mod p
+            if exp < 0 or (k < self.f and exp == 0 and mant == 0):
+                raise PrecisionError("residue undetermined (non-integral input?)")
+        return tuple(mant % self.p if exp == 0 else 0 for exp, mant, _ in coords[: self.f])
 
     def _rep_raw(self, coords):
-        for c, rep in self.residue_reps():
-            if c == tuple(coords):
-                return rep
-        raise InputError("unknown residue coordinates")  # pragma: no cover
+        """The lift sum c_j * r_j of residue coordinates, cached per tuple."""
+        coords = tuple(coords)
+        cache = self._caches.setdefault("reps", {})
+        rep = cache.get(coords)
+        if rep is None:
+            rep = self._zero_raw()
+            for c, b in zip(coords, self._residue_basis):
+                if c:
+                    rep = self._add(self.level, rep, self._mul(self.level, self._int_raw(c), b))
+            cache[coords] = rep
+        return rep
 
     def teichmueller(self, x: PadicElement) -> PadicElement:
         """The (q-1)-th root of unity congruent to the unit x."""
@@ -793,6 +793,11 @@ class LocalField:
             u = self.residue_of(elt)
             self._caches["ubar"] = u
         return u
+
+    def _one_plus(self, coords: tuple, k: int):
+        """The principal unit 1 + rep(coords) * pi^k."""
+        term = self._mul(self.level, self._rep_raw(coords), self.pi_pow(k).data)
+        return self._add(self.level, self._one_raw(), term)
 
     def _res_add(self, a: tuple, b: tuple) -> tuple:
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -878,12 +883,7 @@ class LocalField:
                 level = mu // p
             else:
                 return ("ramified", t, mu)
-            upd = self._add(
-                self.level,
-                self._one_raw(),
-                self._mul(self.level, self._rep_raw(s), self.pi_pow(level).data),
-            )
-            t = self._mul(self.level, t, upd)
+            t = self._mul(self.level, t, self._one_plus(s, level))
         raise MathCheckError("p-th root defect loop failed to terminate")  # pragma: no cover
 
     def is_pth_power(self, x: PadicElement) -> bool:
@@ -931,11 +931,7 @@ class LocalField:
                 break
         if root is None:
             return False
-        x = self._add(
-            self.level,
-            self._one_raw(),
-            self._mul(self.level, self._rep_raw(root), self.pi_pow(mu0).data),
-        )
+        x = self._one_plus(root, mu0)
         zeta = self._refine_zeta(x, mu0)
         if zeta is None:
             return False
@@ -956,12 +952,7 @@ class LocalField:
                 break
             s = self.residue_of(self._mul(self.level, d, self.pi_pow(-dv).data))
             t = self._res_solve_mul(self._ubar(), self._res_neg(s))
-            upd = self._add(
-                self.level,
-                self._one_raw(),
-                self._mul(self.level, self._rep_raw(t), self.pi_pow(dv - self.e).data),
-            )
-            x = self._mul(self.level, x, upd)
+            x = self._mul(self.level, x, self._one_plus(t, dv - self.e))
         for _ in range(60):
             h, hp = self._cyclotomic_and_derivative(x)
             hv = self._val_or_bound(h)
@@ -1019,21 +1010,14 @@ class LocalField:
             if mu == w:
                 tmat = self._as_matrix()
                 _, timg = kernel_image(tmat)
-                chosen = None
-                for coords, rep in self.residue_reps():
-                    if not any(coords):
-                        continue
-                    if not timg.contains(np.array(coords, dtype=np.int64)):
-                        chosen = (coords, rep)
-                        break
-                if chosen is None:  # pragma: no cover
-                    raise MathCheckError("no top-level unit found outside the power image")
-                coords, rep = chosen
-                data = self._add(
-                    self.level,
-                    self._one_raw(),
-                    self._mul(self.level, rep, self.pi_pow(w).data),
+                coords = next(
+                    (c for c in itertools.product(range(p), repeat=f)
+                     if any(c) and not timg.contains(np.array(c, dtype=np.int64))),
+                    None,
                 )
+                if coords is None:  # pragma: no cover
+                    raise MathCheckError("no top-level unit found outside the power image")
+                data = self._one_plus(coords, w)
                 label = self._unit_label(mu, coords, is_qp)
                 entries.append(_K1Entry("top", mu, data, label, coords))
                 continue
@@ -1046,11 +1030,7 @@ class LocalField:
                 cands.append((zeta, zres, zlab))
             for i in range(f):
                 coords = tuple(1 if j == i else 0 for j in range(f))
-                data = self._add(
-                    self.level,
-                    self._one_raw(),
-                    self._mul(self.level, self._rep_raw(coords), self.pi_pow(mu).data),
-                )
+                data = self._one_plus(coords, mu)
                 cands.append((data, coords, self._unit_label(mu, coords, is_qp)))
             taken: list[np.ndarray] = []
             rank = 0
@@ -1109,7 +1089,11 @@ class LocalField:
         coords[index["pi"]] = v % p
         u = self._mul(self.level, x.data, self.pi_pow(-v).data)
         r = self.residue_of(u)
-        u = self._mul(self.level, u, self._inv(self.teichmueller(PadicElement(self, self._rep_raw(r))).data))
+        # inverses of the fixed factors: Teichmueller lifts (keyed by residue) and basis entries
+        inverses = self._caches.setdefault("k1_inverses", {})
+        if r not in inverses:
+            inverses[r] = self._inv(self.teichmueller(PadicElement(self, self._rep_raw(r))).data)
+        u = self._mul(self.level, u, inverses[r])
         for mu in range(1, w + 1):
             d = self._add(self.level, u, self._neg(self.level, self._one_raw()))
             dv = self._val_or_bound(d)
@@ -1126,29 +1110,18 @@ class LocalField:
                 pos = index["top"]
                 top = entries[pos]
                 rstar = np.array(top.residue, dtype=np.int64).reshape(-1, 1)
-                tmat = self._as_matrix()
-                aug = FpMatrix(p, np.hstack([rstar, tmat.entries]))
+                aug = FpMatrix(p, np.hstack([rstar, self._as_matrix().entries]))
                 sol = fp_solve(aug, np.array(c, dtype=np.int64))
                 if sol is None:  # pragma: no cover
                     raise MathCheckError("top filtration level is not covered")
                 xstar = int(sol[0][0])
-                s = tuple(int(t) for t in sol[0][1:])
                 coords[pos] = xstar
-                u = self._mul(self.level, u, self._pow_raw(self._inv(top.data), xstar))
-                upd = self._add(
-                    self.level,
-                    self._one_raw(),
-                    self._mul(self.level, self._rep_raw(s), self.pi_pow(w // p).data),
-                )
-                u = self._mul(self.level, u, self._inv(self._pow_raw(upd, p)))
+                if pos not in inverses:
+                    inverses[pos] = self._inv(top.data)
+                u = self._mul(self.level, u, self._pow_raw(inverses[pos], xstar))
+                s, level = tuple(int(t) for t in sol[0][1:]), w // p
             elif mu % p == 0:
-                s = self._frobenius_root(c)
-                upd = self._add(
-                    self.level,
-                    self._one_raw(),
-                    self._mul(self.level, self._rep_raw(s), self.pi_pow(mu // p).data),
-                )
-                u = self._mul(self.level, u, self._inv(self._pow_raw(upd, p)))
+                s, level = self._frobenius_root(c), mu // p
             else:
                 sol = fp_solve(self._level_matrix(mu), np.array(c, dtype=np.int64))
                 if sol is None:  # pragma: no cover
@@ -1157,7 +1130,11 @@ class LocalField:
                     ck = int(sol[0][k])
                     coords[pos] = ck
                     if ck:
-                        u = self._mul(self.level, u, self._pow_raw(self._inv(entries[pos].data), ck))
+                        if pos not in inverses:
+                            inverses[pos] = self._inv(entries[pos].data)
+                        u = self._mul(self.level, u, self._pow_raw(inverses[pos], ck))
+                continue
+            u = self._mul(self.level, u, self._inv(self._pow_raw(self._one_plus(s, level), p)))
         d = self._add(self.level, u, self._neg(self.level, self._one_raw()))
         dv = self._val_or_bound(d)
         if isinstance(dv, int) and dv <= w:

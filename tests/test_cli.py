@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -178,3 +180,56 @@ def test_bad_degree_rejected(capsys):
 def test_precision_override_too_small(capsys):
     code, _, err = run(capsys, "field", "--preset", "Q2", "--precision", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--preset", "Q2", "--a", "0"],
+        ["field", "--spec", '{"p": 2, "steps": [{"kind": "unramified", "degree": "x"}]}'],
+        ["field", "--spec", '{"p": 2, "steps": [{"kind": "unramified", "degree": 2.5}]}'],
+        ["field", "--spec", '{"p": 2, "steps": [], "precision": "x"}'],
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_main_frees_the_loaded_field(monkeypatch, capsys):
+    """With automatic collection off, the field dies when main returns."""
+    loaded = []
+    real_load = cli._load_field
+
+    def load(args):
+        field = real_load(args)
+        loaded.append(weakref.ref(field))
+        return field
+
+    monkeypatch.setattr(cli, "_load_field", load)
+    gc.disable()
+    try:
+        assert cli.main(["verify", "--preset", "Q2", "--a", "2", "--n", "1"]) == 0
+        assert len(loaded) == 1 and loaded[0]() is None
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_verify_q5zeta5_uniformizer_canonical(capsys):
+    code, report, _ = run_json(
+        capsys, "verify", "--preset", "Q5zeta5", "--a", "uniformizer", "--suite", "canonical"
+    )
+    assert code == 0 and report["status"] == "pass"
+    details = [
+        {item["name"]: item["detail"] for item in entry["decomposition"] if "detail" in item}
+        for entry in report["results"]
+    ]
+    # (dim X1, dim Z, rank Y, dim k_n(E)) for n = 1, 2, 3
+    expected = [(1, 1, 4, 22), (1, 0, 0, 1), (0, 0, 0, 0)]
+    for d, (x1, z, y, total) in zip(details, expected, strict=True):
+        assert d["x1_trivial"] == f"dim X1 = {x1}"
+        assert d["z_trivial"] == f"dim Z = {z}"
+        assert d["y_free_rank"] == f"rank Y = {y}"
+        assert d["total_dimension"] == f"dim = {total}"
