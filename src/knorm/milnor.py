@@ -324,17 +324,13 @@ def _key_label(field: LocalField, key: tuple) -> str:
 
 
 def norm_subgroup(ext: KummerExtension) -> Subspace:
-    """Classes of norms from E inside k_1 of the base: the span of the
-    norms of a k_1(E) basis.  Its codimension must be 1."""
+    """Classes of norms from E inside k_1 of the base: the image of the
+    degree-1 norm map, whose columns are the norms of a k_1(E) basis.
+    Its codimension must be 1."""
     sub = ext.cache.get("norm_subgroup")
     if sub is None:
-        base = ext.base
-        rows = []
-        for entry in ext.top.k1_structure():
-            down = ext.norm_down(PadicElement(ext.top, entry.data))
-            rows.append(base.k1_coords(down))
-        dim = k_dim(base, 1)
-        sub = Subspace(base.p, dim, np.array(rows, dtype=np.int64))
+        sub = norm_map(ext, 1).image()
+        dim = k_dim(ext.base, 1)
         if sub.dim != dim - 1:
             raise MathCheckError(
                 f"norm subgroup of {ext.label or 'extension'} has codimension "

@@ -27,10 +27,26 @@ v(x) = min(e * v_p(c_ij) + i): weights of distinct i differ mod e, so
 only the minimum of one i-block can tie.  The valuation is returned only
 when no coordinate whose digits were lost could weigh less than it, and
 the residue of an integral x is (c_0j mod p).
+
+A product is the convolution of the operands' blocks followed by the
+reduction of its top slots, from the highest down, by the step
+polynomial.  Exact zeros are never touched: an exact-zero block of
+either operand, an exact-zero step coefficient and an empty convolution
+slot are all skipped.  That is exact, tuple for tuple: c_mul(x, 0) is an
+exact zero, c_add(x, 0) == x, and c_add is canonical in (value mod
+p^absprec, absprec), so the order of the remaining sums is free.  The
+reduction multiplies by the negated step coefficients, cached per field
+and level, since c_mul(a, -b) == -c_mul(a, b).  Products are never
+reassociated (no Karatsuba, no distributed reduction): interval
+precision is not distributive, and after cancellation (a + b) * c keeps
+more digits than a * c + b * c, so a regrouped product would move the
+precisions that PrecisionError decisions read (Caruso, Roe and Vaccon,
+"Tracking p-adic precision", LMS J. Comput. Math. 17A, 2014).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -288,8 +304,10 @@ class LocalField:
             raise InputError(f"p must be a prime below 2^16, got {p!r}")
         if not isinstance(precision, (int, type(None))):
             raise InputError(f"precision must be an integer, got {precision!r}")
+        specs = [] if steps is None else steps
+        if not isinstance(specs, list):
+            raise InputError(f"steps must be a list of step objects, not {type(specs).__name__}")
         field = LocalField._qp(p, precision)
-        specs = list(steps or [])
         for i, spec in enumerate(specs):
             last = i == len(specs) - 1
             field = field._with_spec_step(spec, precision if last else None)
@@ -486,39 +504,44 @@ class LocalField:
             return self.ctx.c_neg(x)
         return [self._neg(level - 1, a) for a in x]
 
-    def _is_exact_zero(self, level: int, x) -> bool:
-        if level == 0:
-            return x[1] == 0 and x[0] >= ZERO_EXP
-        return all(self._is_exact_zero(level - 1, a) for a in x)
-
     def _all_mant_zero(self, level: int, x) -> bool:
         if level == 0:
             return x[1] == 0
         return all(self._all_mant_zero(level - 1, a) for a in x)
 
+    def _ring(self, level: int):
+        """(degree, zero block, live negated step coefficients) of a level."""
+        ring = self._caches.get(("ring", level))
+        if ring is None:
+            step, zero = self.steps[level - 1], self._zero_raw(level - 1)
+            neg = [(j, self._neg(level - 1, c)) for j, c in enumerate(step.poly) if c != zero]
+            ring = self._caches[("ring", level)] = (step.degree, zero, neg)
+        return ring
+
     def _mul(self, level: int, x, y):
+        """Product at a level: convolution, then reduction by the step
+        polynomial from the top slot down; exact zeros are never touched."""
         if level == 0:
             return self.ctx.c_mul(x, y)
-        d = self.steps[level - 1].degree
-        conv = [self._zero_raw(level - 1) for _ in range(2 * d - 1)]
-        for i, xi in enumerate(x):
-            if self._is_exact_zero(level - 1, xi):
-                continue
-            for j, yj in enumerate(y):
-                conv[i + j] = self._add(level - 1, conv[i + j], self._mul(level - 1, xi, yj))
-        return self._reduce(level, conv)
-
-    def _reduce(self, level: int, conv):
-        d = self.steps[level - 1].degree
-        poly = self.steps[level - 1].poly
-        for i in range(len(conv) - 1, d - 1, -1):
-            lead = conv[i]
-            if self._is_exact_zero(level - 1, lead):
-                continue
-            for j in range(d):
-                term = self._mul(level - 1, lead, poly[j])
-                conv[i - d + j] = self._add(level - 1, conv[i - d + j], self._neg(level - 1, term))
-        return conv[:d]
+        d, zero, neg_poly = self._ring(level)
+        if level == 1:
+            mul, add = self.ctx.c_mul, self.ctx.c_add
+        else:  # bound per call: a cached partial would tie the field into a cycle
+            mul = functools.partial(self._mul, level - 1)
+            add = functools.partial(self._add, level - 1)
+        live_y = [(j, b) for j, b in enumerate(y) if b != zero]
+        conv = [None] * (2 * d - 1)  # None: an exact zero not yet allocated
+        for i, a in enumerate(x):
+            if a != zero:
+                for j, b in live_y:
+                    t, s = mul(a, b), conv[i + j]
+                    conv[i + j] = t if s is None else add(s, t)
+        for i in range(2 * d - 2, d - 1, -1):
+            if conv[i] is not None:
+                for j, c in neg_poly:
+                    t, s = mul(conv[i], c), conv[i - d + j]
+                    conv[i - d + j] = t if s is None else add(s, t)
+        return [zero if s is None else s for s in conv[:d]]
 
     def _pow_raw(self, x, k: int):
         if k < 0:
@@ -1156,7 +1179,12 @@ class LocalField:
 
 def _fp_irreducible(p: int, deg: int):
     """Low coefficients of the first monic irreducible of the given degree
-    over F_p (searched in lexicographic order)."""
+    over F_p, in lexicographic order with the constant term slowest.
+
+    Candidates start at constant term 1, and each is decided by Rabin's
+    test: f of degree n is irreducible iff x^(p^n) = x mod f and
+    gcd(x^(p^(n/q)) - x, f) = 1 for every prime q dividing n.
+    """
 
     def poly_mod(a, b):
         a = a[:]
@@ -1173,19 +1201,47 @@ def _fp_irreducible(p: int, deg: int):
             a.pop()
         return a
 
+    def mul_mod(a, b, f):
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return poly_mod([c % p for c in out], f)
+
+    def frobenius(h, f):
+        """h^p mod f."""
+        out, k = [1], p
+        while k:
+            if k & 1:
+                out = mul_mod(out, h, f)
+            h = mul_mod(h, h, f)
+            k >>= 1
+        return out
+
+    def minus_x(h, f):
+        """h - x mod f."""
+        h = h + [0] * (2 - len(h))
+        h[1] = (h[1] - 1) % p
+        return poly_mod(h, f)
+
+    def coprime(a, b):
+        while b:
+            a, b = b, poly_mod(a, b)
+        return len(a) == 1
+
+    primes = [q for q in range(2, deg + 1) if deg % q == 0 and is_prime(q)]
+
     def irreducible(low):
         full = low + [1]
-        for d in range(1, deg // 2 + 1):
-            for combo in itertools.product(range(p), repeat=d):
-                divisor = list(combo) + [1]
-                if not poly_mod(full, divisor):
-                    return False
-        return True
+        powers = [[0, 1]]  # x^(p^k) mod f for k = 0..deg
+        for _ in range(deg):
+            powers.append(frobenius(powers[-1], full))
+        if minus_x(powers[deg], full):
+            return False
+        return all(coprime(full, minus_x(powers[deg // q], full)) for q in primes)
 
-    for combo in itertools.product(range(p), repeat=deg):
+    for combo in itertools.product(range(1, p), *[range(p)] * (deg - 1)):
         low = list(combo)
-        if low[0] == 0:
-            continue
         if irreducible(low):
             return low
     return None

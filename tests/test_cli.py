@@ -189,12 +189,20 @@ def test_precision_override_too_small(capsys):
         ["field", "--spec", '{"p": 2, "steps": [{"kind": "unramified", "degree": "x"}]}'],
         ["field", "--spec", '{"p": 2, "steps": [{"kind": "unramified", "degree": 2.5}]}'],
         ["field", "--spec", '{"p": 2, "steps": [], "precision": "x"}'],
+        ["field", "--spec", '{"p": 2, "steps": {}}'],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_unramified_degree_40_is_found_quickly(capsys):
+    spec = '{"p": 2, "steps": [{"kind": "unramified", "degree": 40}]}'
+    code, out, _ = run(capsys, "field", "--spec", spec)
+    assert code == 0
+    assert "dim k1 = 42" in out
 
 
 def test_main_frees_the_loaded_field(monkeypatch, capsys):

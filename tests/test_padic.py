@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from knorm.errors import InputError, PrecisionError
-from knorm.padic import KummerExtension, LocalField, default_precision
+from knorm.padic import KummerExtension, LocalField, _fp_irreducible, default_precision
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +245,50 @@ def test_field_spec_parsing():
 def test_cross_field_operations_rejected(q2, q3z):
     with pytest.raises(InputError):
         q2.element(3) + q3z.element(3)  # type: ignore[operator]
+
+
+def bruteforce_irreducible(p, deg):
+    """The first monic irreducible in lexicographic order (constant term
+    slowest), by trial division with every monic divisor of degree up to
+    deg / 2."""
+
+    def poly_mod(a, b):
+        a = a[:]
+        while len(a) >= len(b):
+            if a[-1] == 0:
+                a.pop()
+                continue
+            factor = a[-1] * pow(b[-1], -1, p) % p
+            off = len(a) - len(b)
+            for i in range(len(b)):
+                a[off + i] = (a[off + i] - factor * b[i]) % p
+            a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    def irreducible(low):
+        full = low + [1]
+        for d in range(1, deg // 2 + 1):
+            for combo in itertools.product(range(p), repeat=d):
+                divisor = list(combo) + [1]
+                if not poly_mod(full, divisor):
+                    return False
+        return True
+
+    for combo in itertools.product(range(p), repeat=deg):
+        low = list(combo)
+        if low[0] == 0:
+            continue
+        if irreducible(low):
+            return low
+    return None
+
+
+@pytest.mark.parametrize(
+    "p, deg",
+    [(2, d) for d in range(1, 9)] + [(3, d) for d in range(1, 7)]
+    + [(5, d) for d in range(1, 5)] + [(7, d) for d in range(1, 4)],
+)
+def test_irreducible_search_matches_trial_division(p, deg):
+    assert _fp_irreducible(p, deg) == bruteforce_irreducible(p, deg)
