@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__
 from .errors import InputError, KnormError, MathCheckError, PrecisionError
 from .euler import (
-    chi,
     corollary_checks,
     enumerate_extension_classes,
     profile_from_field,
@@ -26,7 +25,6 @@ from .euler import (
     theorem3_check,
 )
 from .milnor import (
-    class_of,
     get_extension,
     k_group,
     projection_formula_check,
@@ -36,7 +34,13 @@ from .milnor import (
 )
 from .padic import LocalField, PadicElement
 from .presets import FIELD_PRESETS
-from .structure import check_canonical, check_lemma_VW, check_theorem_items, decompose_knE
+from .structure import (
+    check_canonical,
+    check_lemma_VW,
+    check_theorem_items,
+    compute_invariants,
+    decompose_knE,
+)
 
 EXIT_PASS = 0
 EXIT_MATH_FAIL = 1
@@ -46,18 +50,15 @@ EXIT_PRECISION = 3
 COMPLEMENT_RULE = "echelon-pivot-v1"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """The JSON form of the NumPy scalars and arrays a report may hold."""
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.bool_):
         return bool(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +117,7 @@ def _load_field(args) -> LocalField:
             raise InputError(f"unparseable field spec: {exc}") from exc
     else:
         raise InputError("a field is required: --preset NAME or --spec JSON")
-    if getattr(args, "precision", None):
+    if getattr(args, "precision", None) is not None:
         spec = dict(spec)
         spec["precision"] = args.precision
     args.loaded_field = LocalField.from_spec(spec)
@@ -166,7 +167,7 @@ def _field_summary(field: LocalField) -> dict:
     return info
 
 
-def _report_skeleton(field_info: dict) -> dict:
+def _report_skeleton(field_info: dict | None) -> dict:
     return {
         "version": __version__,
         "complement_rule": COMPLEMENT_RULE,
@@ -178,16 +179,21 @@ def _report_skeleton(field_info: dict) -> dict:
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(_jsonable(report), indent=2))
+        print(json.dumps(report, indent=2, default=_json_default))
     else:
         for line in lines:
             print(line)
 
 
-def cmd_field(args) -> int:
+def _field_report(args) -> tuple[LocalField, dict]:
+    """The loaded field and a report skeleton carrying its summary."""
     field = _load_field(args)
-    info = _field_summary(field)
-    report = _report_skeleton(info)
+    return field, _report_skeleton(_field_summary(field))
+
+
+def cmd_field(args) -> int:
+    _, report = _field_report(args)
+    info = report["field"]
     lines = [
         f"p = {info['p']}, degree {info['degree']} over Q{info['p']} "
         f"(e = {info['e']}, f = {info['f']})",
@@ -200,9 +206,7 @@ def cmd_field(args) -> int:
 
 
 def cmd_kgroup(args) -> int:
-    field = _load_field(args)
-    info = _field_summary(field)
-    report = _report_skeleton(info)
+    field, report = _field_report(args)
     lines = []
     for n in _degrees(args, default=(0, 1, 2, 3)):
         grp = k_group(field, n)
@@ -214,13 +218,8 @@ def cmd_kgroup(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    from .structure import compute_invariants
-
-    field = _load_field(args)
-    info = _field_summary(field)
-    a = _resolve_a(field, args.a)
-    ext = get_extension(field, a)
-    report = _report_skeleton(info)
+    field, report = _field_report(args)
+    ext = get_extension(field, _resolve_a(field, args.a))
     lines = [f"extension by {ext.label}"]
     for n in _degrees(args):
         inv = compute_invariants(ext, n)
@@ -232,11 +231,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    field = _load_field(args)
-    info = _field_summary(field)
-    a = _resolve_a(field, args.a)
-    ext = get_extension(field, a)
-    report = _report_skeleton(info)
+    field, report = _field_report(args)
+    ext = get_extension(field, _resolve_a(field, args.a))
     lines = [f"extension by {ext.label}"]
     ok = True
     for n in _degrees(args):
@@ -253,70 +249,85 @@ def cmd_decompose(args) -> int:
         )
         for item in rep.checklist.failures():
             lines.append(f"   FAILED: {item.name} {item.detail}")
+    return _finish(args, report, lines, ok)
+
+
+def _extensions(field: LocalField, args) -> list:
+    """The extension named by --a, or every extension class of the field."""
+    if args.a:
+        return [get_extension(field, _resolve_a(field, args.a))]
+    return enumerate_extension_classes(field)
+
+
+def _finish(args, report: dict, lines: list[str], ok: bool) -> int:
     report["status"] = "pass" if ok else "fail"
     lines.append(f"status: {report['status']}")
     _emit(report, args.json, lines)
     return EXIT_PASS if ok else EXIT_MATH_FAIL
 
 
-def cmd_euler(args) -> int:
-    report_entries: list[dict] = []
-    lines: list[str] = []
+def _run_manual(args) -> int:
+    try:
+        spec = json.loads(args.manual)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"unparseable manual profile: {exc}") from exc
+    rep = theorem3_check(profile_from_manual(spec))
+    report = _report_skeleton(None)
+    report["results"].append(rep.as_dict())
+    report["status"] = "pass" if rep.ok else "fail"
+    _emit(report, args.json, [
+        f"manual profile: chi_T = {rep.chi_T}, chi_N = {rep.chi_N}, "
+        f"status {'pass' if rep.ok else 'FAIL'}"
+    ])
+    return EXIT_PASS if rep.ok else EXIT_MATH_FAIL
+
+
+def _run_euler(field, exts, degrees, results, lines, in_verify: bool) -> bool:
+    """The Euler identities per profile and the corollary checks per degree.
+
+    ``verify`` wraps each identity report as {"euler": ...}, always runs
+    the corollary checks and prints one line per degree; ``euler`` prints
+    one line per profile and runs the corollary checks only over more than
+    one extension."""
     ok = True
-    if getattr(args, "manual", None):
-        try:
-            spec = json.loads(args.manual)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"unparseable manual profile: {exc}") from exc
-        prof = profile_from_manual(spec)
-        rep = theorem3_check(prof)
-        report_entries.append(rep.as_dict())
-        ok = rep.ok
-        lines.append(
-            f"manual profile: chi_T = {rep.chi_T}, chi_N = {rep.chi_N}, "
-            f"status {'pass' if rep.ok else 'FAIL'}"
-        )
-        report = {
-            "version": __version__,
-            "complement_rule": COMPLEMENT_RULE,
-            "field": None,
-            "results": report_entries,
-            "status": "pass" if ok else "fail",
-        }
-        _emit(report, args.json, lines)
-        return EXIT_PASS if ok else EXIT_MATH_FAIL
-    field = _load_field(args)
-    info = _field_summary(field)
-    report = _report_skeleton(info)
-    degrees = _degrees(args, default=(2,))
-    exts = (
-        [get_extension(field, _resolve_a(field, args.a))]
-        if args.a
-        else enumerate_extension_classes(field)
-    )
+    expected = None
+    if len(exts) > 1:
+        expected = (field.p ** k_group(field, 1).dim - 1) // (field.p - 1)
     for n in degrees:
+        good = True
         profs = [profile_from_field(ext, n) for ext in exts]
         for prof in profs:
             rep = theorem3_check(prof)
-            report["results"].append(rep.as_dict())
-            ok = ok and rep.ok
-            lines.append(
-                f"n={n} a={prof.label}: chi_T = {rep.chi_T}, chi_N = {rep.chi_N}, "
-                f"{'pass' if rep.ok else 'FAIL'}"
-            )
-        if len(profs) > 1:
-            crep = corollary_checks(profs)
-            report["results"].append({"corollary": crep.as_dict()})
-            ok = ok and crep.ok
-            lines.append(
-                f"n={n}: chi doubles for {sum(r['chi_doubles'] for r in crep.rows)}"
-                f"/{crep.count} subgroups"
+            results.append({"euler": rep.as_dict()} if in_verify else rep.as_dict())
+            good = good and rep.ok
+            if not in_verify:
+                lines.append(
+                    f"n={n} a={prof.label}: chi_T = {rep.chi_T}, chi_N = {rep.chi_N}, "
+                    f"{'pass' if rep.ok else 'FAIL'}"
+                )
+        if in_verify or len(profs) > 1:
+            crep = corollary_checks(profs, expected_count=expected)
+            results.append({"corollary": crep.as_dict()})
+            good = good and crep.ok
+            doubling = (
+                f"chi doubles for {sum(r['chi_doubles'] for r in crep.rows)}/{crep.count} subgroups"
                 + ("  (consistent with cd <= n)" if crep.all_doubling else "")
             )
-    report["status"] = "pass" if ok else "fail"
-    lines.append(f"status: {report['status']}")
-    _emit(report, args.json, lines)
-    return EXIT_PASS if ok else EXIT_MATH_FAIL
+            lines.append(f"euler n={n}: identities {'pass' if good else 'FAIL'}; {doubling}"
+                         if in_verify else f"n={n}: {doubling}")
+        ok = ok and good
+    return ok
+
+
+def cmd_euler(args) -> int:
+    if args.manual:
+        return _run_manual(args)
+    field, report = _field_report(args)
+    degrees = _degrees(args, default=(2,))
+    lines: list[str] = []
+    ok = _run_euler(field, _extensions(field, args), degrees, report["results"], lines,
+                    in_verify=False)
+    return _finish(args, report, lines, ok)
 
 
 def _verify_canonical(ext, degrees, results, lines) -> bool:
@@ -362,44 +373,13 @@ def _verify_sequences(ext, degrees, results, lines) -> bool:
     return ok
 
 
-def _verify_euler(field, exts, degrees, results, lines) -> bool:
-    ok = True
-    for n in degrees:
-        profs = [profile_from_field(ext, n) for ext in exts]
-        for prof in profs:
-            rep = theorem3_check(prof)
-            results.append({"euler": rep.as_dict()})
-            ok = ok and rep.ok
-        expected = None
-        if len(exts) > 1:
-            grp = k_group(field, 1)
-            expected = (field.p**grp.dim - 1) // (field.p - 1)
-        crep = corollary_checks(profs, expected_count=expected)
-        results.append({"corollary": crep.as_dict()})
-        ok = ok and crep.ok
-        doubling = sum(r["chi_doubles"] for r in crep.rows)
-        lines.append(
-            f"euler n={n}: identities {'pass' if ok else 'FAIL'}; "
-            f"chi doubles for {doubling}/{crep.count} subgroups"
-            + ("  (consistent with cd <= n)" if crep.all_doubling else "")
-        )
-    return ok
-
-
 def cmd_verify(args) -> int:
-    if getattr(args, "manual", None):
-        return cmd_euler(args)
-    field = _load_field(args)
-    info = _field_summary(field)
-    report = _report_skeleton(info)
-    lines: list[str] = []
+    if args.manual:
+        return _run_manual(args)
+    field, report = _field_report(args)
     degrees = _degrees(args)
-    exts = (
-        [get_extension(field, _resolve_a(field, args.a))]
-        if args.a
-        else enumerate_extension_classes(field)
-    )
-    lines.append(f"verifying {len(exts)} extension(s), degrees {degrees}, suite {args.suite}")
+    exts = _extensions(field, args)
+    lines = [f"verifying {len(exts)} extension(s), degrees {degrees}, suite {args.suite}"]
     ok = True
     if args.suite in ("canonical", "all"):
         for ext in exts:
@@ -408,11 +388,8 @@ def cmd_verify(args) -> int:
         for ext in exts:
             ok = _verify_sequences(ext, degrees, report["results"], lines) and ok
     if args.suite in ("euler", "all"):
-        ok = _verify_euler(field, exts, degrees, report["results"], lines) and ok
-    report["status"] = "pass" if ok else "fail"
-    lines.append(f"status: {report['status']}")
-    _emit(report, args.json, lines)
-    return EXIT_PASS if ok else EXIT_MATH_FAIL
+        ok = _run_euler(field, exts, degrees, report["results"], lines, in_verify=True) and ok
+    return _finish(args, report, lines, ok)
 
 
 _COMMANDS = {

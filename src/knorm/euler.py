@@ -13,20 +13,9 @@ characteristic identities are verified exactly.
 from __future__ import annotations
 
 from .errors import InputError, MathCheckError, UnsupportedOperationError
-from .fplin import Subspace
-from .milnor import (
-    ann_cup,
-    class_of,
-    cup_with,
-    get_extension,
-    k_dim,
-    k_group,
-    norm_map,
-    norm_subgroup,
-    xi_class,
-)
+from .milnor import class_of, get_extension, k_dim, k_group, norm_subgroup
 from .padic import KummerExtension, LocalField
-from .structure import compute_invariants
+from .structure import structure_context
 
 __all__ = [
     "CohomologyProfile",
@@ -117,11 +106,11 @@ class CohomologyProfile:
 
 def profile_from_field(ext: KummerExtension, n: int) -> CohomologyProfile:
     """Profile of the subgroup fixing E, with h_i the K-group dimensions
-    and a_i the annihilator dimensions of the defining class."""
+    and a_i the annihilator dimensions of the defining class, read from
+    the (extension, i + 1) contexts."""
     field = ext.base
-    a_cls = class_of(field, ext.a)
     h = [k_dim(field, i) for i in range(n + 1)]
-    a = [ann_cup(field, a_cls, i + 1).dim for i in range(1, n + 1)]
+    a = [structure_context(ext, i + 1).ann_a.dim for i in range(1, n + 1)]
     minus_one = None
     if field.p == 2:
         minus_one = norm_subgroup(ext).contains(class_of(field, field.element(-1)).coords)
@@ -168,23 +157,18 @@ def dim_HN_formula(profile: CohomologyProfile, i: int, variant: str = "c") -> in
         if not profile.licensed_for_free_formula():
             raise InputError("variant 'b' needs odd p, or p = 2 with -1 a norm")
         if profile.source == "local_field":
-            y = compute_invariants(profile.ext, i).y
+            y = structure_context(profile.ext, i).invariants.y
         else:
             y = profile.a_at(i) - profile.d_at(i - 1)
         return base + p * y
     if variant == "a":
         if profile.source != "local_field":
             raise InputError("variant 'a' needs local-field data")
-        ext = profile.ext
-        field = ext.base
-        cor_image = norm_map(ext, i).image() if i <= 3 else Subspace.zero(p, k_dim(field, i))
-        a_cls = class_of(field, ext.a)
-        cup_img = (cup_with(field, a_cls, i).image() if 1 <= i <= 3
-                   else Subspace.zero(p, k_dim(field, i)))
+        ctx = structure_context(profile.ext, i)
         # the quotient of the corestriction image by the cup image is read
         # as a dimension difference: for p = 2 the cup image need not be
         # contained in the corestriction image
-        return base + p * (cor_image.dim - cup_img.dim)
+        return base + p * (ctx.norm_image.dim - ctx.cup_image.dim)
     raise InputError(f"unknown variant {variant!r}")
 
 

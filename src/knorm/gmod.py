@@ -18,7 +18,6 @@ from .fplin import (
     complement,
     intersect_and_sum,
     kernel_image,
-    rref,
     solve_many,
 )
 
@@ -91,21 +90,8 @@ class GModule:
             raise InputError(f"power {i} out of range 0..{self.p}")
         return self._shift_powers[i]
 
-    def conjugate(self, g) -> "GModule":
-        """Base change: the module with action g sigma g^{-1}."""
-        g = g if isinstance(g, FpMatrix) else FpMatrix(self.p, g)
-        return GModule(self.p, (g @ self.sigma @ _invert(g)).entries)
-
     def __repr__(self) -> str:
         return f"GModule(p={self.p}, dim={self.dim})"
-
-
-def _invert(m: FpMatrix) -> FpMatrix:
-    n = m.rows
-    red, pivots = rref(np.hstack([m.entries, np.eye(n, dtype=np.int64)]), m.p)
-    if pivots != list(range(n)):
-        raise InputError("matrix is singular")
-    return FpMatrix(m.p, red[:, n:])
 
 
 class SummandProfile:

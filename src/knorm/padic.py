@@ -62,6 +62,13 @@ _INF = float("inf")
 CZERO = (ZERO_EXP, 0, 0)
 
 
+# Work bounds, checked before the work: precision up to 8 times the
+# default; residue fields up to 2^64 elements (the irreducible search stays
+# under about 1.5 s for every p); and up to 2^21 candidates q^deg for the
+# residue-root scan, each testing q roots (about 2 s at the bound).
+_PRECISION_FACTOR_MAX, _RESIDUE_FIELD_MAX, _SCAN_MAX = 8, 2**64, 2**21
+
+
 def default_precision(p: int, e: int) -> int:
     """Working precision in uniformizer digits for ramification index e."""
     w = -(-(p * e) // (p - 1))  # ceil
@@ -333,10 +340,13 @@ class LocalField:
         p = self.p
         self.q = p**self.f
         self.wild = (p * self.e) // (p - 1)
-        policy_min = self.wild + 5
-        self.prec = default_precision(p, self.e) if precision is None else precision
+        default = default_precision(p, self.e)
+        self.prec = default if precision is None else precision
+        policy_min, policy_max = self.wild + 5, _PRECISION_FACTOR_MAX * default
         if self.prec < policy_min:
             raise InputError(f"precision {self.prec} below the policy minimum {policy_min}")
+        if self.prec > policy_max:
+            raise InputError(f"precision {self.prec} above the policy maximum {policy_max}")
         M = max(-(-self.prec // self.e), self.wild) + 16
         self.ctx = _Ctx(p, M)
         self.level = len(self.steps)
@@ -371,6 +381,8 @@ class LocalField:
             deg = spec.get("degree", 0)
             if not isinstance(deg, int) or deg < 2:
                 raise InputError(f"unramified step needs an integer degree >= 2, got {deg!r}")
+            if deg > 64 or self.q**deg > _RESIDUE_FIELD_MAX:
+                raise InputError(f"unramified degree {deg} gives a residue field above 2^64")
             return self._with_unramified(deg, precision)
         if kind == "eisenstein":
             extra = set(spec) - {"kind", "coeffs"}
@@ -441,6 +453,8 @@ class LocalField:
                 "unramified steps of degree > 3 over a nontrivial residue field "
                 "are not supported"
             )
+        if self.q**deg > _SCAN_MAX:
+            raise InputError(f"unramified degree {deg} over {self.q} residues: scan above 2^21")
         reps = [rep for _, rep in self.residue_reps()]
         for combo in itertools.product(reps, repeat=deg):
             cand = list(combo)

@@ -8,14 +8,24 @@ invariants, executes the explicit construction of those summands by
 seeding the generic cyclic-module decomposition with pinned complements,
 and re-verifies every structural claim and the canonical (choice-free)
 statements on concrete instances.
+
+Everything these steps and the Euler formulas read about one pair is
+built once, by structure_context, into a StructureContext kept in the
+extension's cache (milnor.release_caches empties it).  Its base side,
+built at once, holds the class of a, ann(a) and ann(a, xi) in k_{n-1}(F),
+the cup map with a and its images, the xi-cup image (odd p) and the norm
+map with its image.  Its Galois side, built on first use since the
+invariants and the Euler formulas never read it, holds the sigma-module,
+its fixed part, the restriction map, i_f = im res, i_n = im(res . norm)
+and the restricted xi-cup map with its image (odd p).  The inclusion
+checks run once, as each side is built, and the invariants are
+compute_invariants of the pair, taken once.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import InputError, MathCheckError
-from .fplin import Subspace, complement, intersect_and_sum, kernel_image
+from .fplin import Subspace, complement, intersect_and_sum
 from .gmod import decompose, fixed_points, multiplicity_oracle, omega_image
 from .milnor import (
     KClass,
@@ -38,6 +48,8 @@ __all__ = [
     "StructureReport",
     "CheckItem",
     "Checklist",
+    "StructureContext",
+    "structure_context",
     "compute_invariants",
     "decompose_knE",
     "check_theorem_items",
@@ -196,11 +208,94 @@ class StructureReport:
         }
 
 
-def _cup_image(field, a_cls, n: int) -> Subspace:
-    """Image of cup product with a inside k_n (zero outside degrees 1..3)."""
-    if 1 <= n <= 3:
-        return cup_with(field, a_cls, n).image()
-    return Subspace.zero(field.p, k_dim(field, n))
+class StructureContext:
+    """The cached data of one (extension, degree) pair (see the module
+    docstring).  ``cup``, ``xi_map`` (odd p) and ``xi_cup`` are None
+    outside degrees 1..3; ``xi_cup`` is ``xi_map`` followed by
+    restriction.  ``w`` is the pinned complement of ann(a, xi),
+    ``cup_ann_ax`` the cup image of ann(a, xi), and ``inner`` is
+    i_xi + i_n (i_n when p = 2)."""
+
+    __slots__ = (
+        "ext", "n", "a_cls", "ann_a", "ann_ax", "w", "cup", "cup_image", "cup_ann_ax",
+        "xi_map", "xi_image", "norm", "norm_image", "_invariants",
+        "module", "mg", "res", "i_f", "i_n", "xi_cup", "i_xi", "inner",
+    )
+
+    def __init__(self, ext: KummerExtension, n: int) -> None:
+        field, p = ext.base, ext.p
+        kn, kn1 = k_dim(field, n), k_dim(field, n - 1)
+        self.ext, self.n, self._invariants = ext, n, None
+        self.a_cls = a_cls = class_of(field, ext.a)
+        self.ann_a = ann_cup(field, a_cls, n)
+        self.ann_ax = ann_pair(field, a_cls, n)
+        if not self.ann_a.is_subspace_of(self.ann_ax):
+            raise MathCheckError("ann(a) is not inside ann(a, xi)")
+        self.w = complement(self.ann_ax, Subspace.full(p, kn1))
+        self.norm = norm_map(ext, n)
+        self.norm_image = self.norm.image()
+        has_cup = 1 <= n <= 3
+        self.cup = cup_with(field, a_cls, n) if has_cup else None
+        zero = Subspace.zero(p, kn)
+        self.cup_image = self.cup.image() if has_cup else zero
+        self.cup_ann_ax = self.cup.image_of(self.ann_ax) if has_cup else zero
+        self.xi_map = self.xi_image = None
+        if p > 2:
+            # the kernel of restriction consists of norms for odd p
+            if not self.cup_image.is_subspace_of(self.norm_image):
+                raise MathCheckError("(a)-multiples are not norms")
+            self.xi_map = cup_with(field, xi_class(field), n) if has_cup else None
+            self.xi_image = self.xi_map.image() if has_cup else zero
+        elif not self.cup_ann_ax.is_subspace_of(self.norm_image):
+            raise MathCheckError("(a)-multiples of ann(a,-1) are not norms")
+
+    def __getattr__(self, name):
+        # reached only for unset slots: build the Galois side on first use
+        if name not in _GALOIS_SIDE:
+            raise AttributeError(name)
+        self._build_galois_side()
+        return object.__getattribute__(self, name)
+
+    def _build_galois_side(self) -> None:
+        """Build and check the Galois side; nothing is stored unless every
+        check passes, so a failed check fails again on the next access."""
+        module = sigma_map(self.ext, self.n)
+        res = restriction_map(self.ext, self.n)
+        mg = fixed_points(module)
+        i_f = res.image()
+        i_n = (res @ self.norm).image()
+        if not i_f.is_subspace_of(mg):
+            raise MathCheckError("restriction image is not fixed by the Galois action")
+        if not i_n.is_subspace_of(i_f):
+            raise MathCheckError("restricted norms do not factor through the restriction image")
+        xi_cup = i_xi = None
+        inner = i_n
+        if self.ext.p > 2:
+            xi_cup = res @ self.xi_map if self.xi_map is not None else None
+            i_xi = xi_cup.image() if xi_cup is not None else Subspace.zero(self.ext.p, module.dim)
+            _, inner = intersect_and_sum(i_xi, i_n)
+        self.module, self.res, self.mg, self.i_f, self.i_n = module, res, mg, i_f, i_n
+        self.xi_cup, self.i_xi, self.inner = xi_cup, i_xi, inner
+
+    @property
+    def invariants(self) -> Invariants:
+        if self._invariants is None:
+            self._invariants = compute_invariants(self.ext, self.n)
+        return self._invariants
+
+
+_GALOIS_SIDE = frozenset({"module", "mg", "res", "i_f", "i_n", "xi_cup", "i_xi", "inner"})
+
+
+def structure_context(ext: KummerExtension, n: int) -> StructureContext:
+    """The context of (ext, n), built on first use and kept in ext.cache,
+    which milnor.release_caches empties."""
+    if n < 0:
+        raise InputError("degree must be nonnegative")
+    key = ("structure", n)
+    if key not in ext.cache:
+        ext.cache[key] = StructureContext(ext, n)
+    return ext.cache[key]
 
 
 def compute_invariants(ext: KummerExtension, n: int) -> Invariants:
@@ -208,71 +303,21 @@ def compute_invariants(ext: KummerExtension, n: int) -> Invariants:
 
     d and e come from the norm image in k_n(F); upsilon1 and upsilon2
     from the annihilators of (a) and (a, xi_p) in k_{n-1}(F); y and z
-    from the cup-product images against the norm image.
+    from the cup-product images against the norm image.  The context
+    keeps the result as its ``invariants``.
     """
-    field, p = ext.base, ext.p
-    if n < 0:
-        raise InputError("degree must be nonnegative")
-    a_cls = class_of(field, ext.a)
-    kn = k_dim(field, n)
-    kn1 = k_dim(field, n - 1)
-    norm_image = norm_map(ext, n).image() if n <= 3 else Subspace.zero(p, kn)
-    e_val = norm_image.dim
-    d_val = kn - e_val
-    ann_a = ann_cup(field, a_cls, n) if n >= 1 else Subspace.zero(p, kn1)
-    ann_ax = ann_pair(field, a_cls, n) if n >= 1 else Subspace.zero(p, kn1)
-    if not ann_a.is_subspace_of(ann_ax):
-        raise MathCheckError("ann(a) is not inside ann(a, xi)")
-    u1 = ann_ax.dim - ann_a.dim
-    u2 = kn1 - ann_ax.dim
-    cup_a_img = _cup_image(field, a_cls, n)
+    ctx = structure_context(ext, n)
+    p, kn, kn1 = ext.p, ctx.norm_image.ambient_dim, ctx.ann_ax.ambient_dim
+    e_val = ctx.norm_image.dim
+    u1 = ctx.ann_ax.dim - ctx.ann_a.dim
+    u2 = kn1 - ctx.ann_ax.dim
     if p > 2:
-        # the kernel of restriction consists of norms for odd p
-        if not cup_a_img.is_subspace_of(norm_image):
-            raise MathCheckError("(a)-multiples are not norms")
-        y_val = e_val - cup_a_img.dim
-        xi_img = _cup_image(field, xi_class(field), n)
-        _, span = intersect_and_sum(xi_img, norm_image)
-        z_val = kn - span.dim
+        y_val = e_val - ctx.cup_image.dim
+        _, span = intersect_and_sum(ctx.xi_image, ctx.norm_image)
     else:
-        if 1 <= n <= 3:
-            restricted = cup_with(field, a_cls, n).image_of(ann_ax)
-        else:
-            restricted = Subspace.zero(p, kn)
-        if not restricted.is_subspace_of(norm_image):
-            raise MathCheckError("(a)-multiples of ann(a,-1) are not norms")
-        y_val = e_val - restricted.dim
-        _, span = intersect_and_sum(cup_a_img, norm_image)
-        z_val = kn - span.dim
-    return Invariants(p, n, d_val, e_val, u1, u2, y_val, z_val)
-
-
-def _structure_spaces(ext: KummerExtension, n: int) -> dict:
-    """The subspaces of k_n(E) used by the construction and the canonical
-    checks: the fixed part, the restriction image, and the restricted
-    norm and xi-cup images."""
-    field, p = ext.base, ext.p
-    module = sigma_map(ext, n)
-    res_n = restriction_map(ext, n)
-    mg = fixed_points(module)
-    i_f = res_n.image()
-    i_n = (res_n @ norm_map(ext, n)).image()
-    spaces = {"module": module, "mg": mg, "i_f": i_f, "i_n": i_n, "res": res_n}
-    if p > 2:
-        a_cls = class_of(field, ext.a)
-        if 1 <= n <= 3:
-            xi_cup = res_n @ cup_with(field, xi_class(field), n)
-            spaces["i_xi"] = xi_cup.image()
-            spaces["xi_cup_map"] = xi_cup
-        else:
-            spaces["i_xi"] = Subspace.zero(p, module.dim)
-            spaces["xi_cup_map"] = None
-        spaces["a_cls"] = a_cls
-    if not i_f.is_subspace_of(mg):
-        raise MathCheckError("restriction image is not fixed by the Galois action")
-    if not i_n.is_subspace_of(i_f):
-        raise MathCheckError("restricted norms do not factor through the restriction image")
-    return spaces
+        y_val = e_val - ctx.cup_ann_ax.dim
+        _, span = intersect_and_sum(ctx.cup_image, ctx.norm_image)
+    return Invariants(p, n, kn - e_val, e_val, u1, u2, y_val, kn - span.dim)
 
 
 def decompose_knE(ext: KummerExtension, n: int) -> StructureReport:
@@ -286,32 +331,21 @@ def decompose_knE(ext: KummerExtension, n: int) -> StructureReport:
     The generic cyclic decomposition then runs on those seeds, and the
     profile is checked against the invariants.
     """
-    field, p = ext.base, ext.p
-    inv = compute_invariants(ext, n)
-    sp = _structure_spaces(ext, n)
-    module, mg, i_f, i_n = sp["module"], sp["mg"], sp["i_f"], sp["i_n"]
+    p = ext.p
+    ctx = structure_context(ext, n)
+    inv = ctx.invariants
+    module, mg, i_f, i_n = ctx.module, ctx.mg, ctx.i_f, ctx.i_n
     dim_e = module.dim
     x1 = complement(i_f, mg)
-    if p > 2:
-        i_xi = sp["i_xi"]
-        _, inner = intersect_and_sum(i_xi, i_n)
-    else:
-        inner = i_n
-    if not inner.is_subspace_of(i_f):
+    if not ctx.inner.is_subspace_of(i_f):
         raise MathCheckError("inner seed space is not inside the restriction image")
-    z = complement(inner, i_f)
+    z = complement(ctx.inner, i_f)
     inter, l1 = intersect_and_sum(x1, z)
     if inter.dim:
         raise MathCheckError("X1 and Z overlap")
     seeds: dict[int, Subspace] = {1: l1}
     if p > 2:
-        ann_ax = ann_pair(field, sp["a_cls"], n) if n >= 1 else Subspace.zero(p, k_dim(field, n - 1))
-        w = complement(ann_ax, Subspace.full(p, k_dim(field, n - 1)))
-        if sp["xi_cup_map"] is not None:
-            l2 = sp["xi_cup_map"].image_of(w)
-        else:
-            l2 = Subspace.zero(p, dim_e)
-        seeds[2] = l2
+        seeds[2] = ctx.xi_cup.image_of(ctx.w) if ctx.xi_cup is not None else Subspace.zero(p, dim_e)
         for i in range(3, p):
             seeds[i] = Subspace.zero(p, dim_e)
         seeds[p] = i_n
@@ -319,18 +353,11 @@ def decompose_knE(ext: KummerExtension, n: int) -> StructureReport:
         seeds[2] = i_n
     dec = decompose(module, seeds=seeds)
     profile = dec.profile
-    expected = {
-        "X1": inv.upsilon1,
-        "Z": inv.z,
-        "m1": inv.upsilon1 + inv.z,
-        "m2": inv.upsilon2 if p > 2 else inv.y,
-        "mp": inv.y,
-    }
-    if x1.dim != expected["X1"] or z.dim != expected["Z"]:
+    if x1.dim != inv.upsilon1 or z.dim != inv.z:
         raise MathCheckError(
             f"trivial-part dimensions ({x1.dim}, {z.dim}) do not match the invariants"
         )
-    if profile.m(1) != expected["m1"] or profile.m(p) != expected["mp"]:
+    if profile.m(1) != inv.upsilon1 + inv.z or profile.m(p) != inv.y:
         raise MathCheckError("profile disagrees with the invariants")
     if p > 2 and profile.m(2) != inv.upsilon2:
         raise MathCheckError("length-2 multiplicity disagrees with upsilon2")
@@ -341,17 +368,14 @@ def decompose_knE(ext: KummerExtension, n: int) -> StructureReport:
     return StructureReport(ext, n, inv, profile, x1, x2, y_space, z, dec.generators)
 
 
-def check_theorem_items(report: StructureReport, ext: KummerExtension | None = None,
-                        n: int | None = None) -> Checklist:
+def check_theorem_items(report: StructureReport) -> Checklist:
     """Re-verify every claim of the decomposition statement on the report:
     triviality and positioning of X1 and Z, freeness data of Y, the
     corestriction behavior of X1 (+ X2), and the two dimension relations."""
-    ext = ext or report.ext
-    n = report.n if n is None else n
-    field, p = ext.base, ext.p
+    p = report.ext.p
     inv = report.invariants
-    sp = _structure_spaces(ext, n)
-    module, mg, i_f, i_n = sp["module"], sp["mg"], sp["i_f"], sp["i_n"]
+    ctx = structure_context(report.ext, report.n)
+    module, mg, i_f, i_n = ctx.module, ctx.mg, ctx.i_f, ctx.i_n
     out = Checklist()
     out.add("x1_trivial", report.x1.is_subspace_of(mg), f"dim X1 = {report.x1.dim}")
     inter, _ = intersect_and_sum(report.x1, i_f)
@@ -366,19 +390,14 @@ def check_theorem_items(report: StructureReport, ext: KummerExtension | None = N
     yg, _ = intersect_and_sum(report.y_space, mg)
     out.add("fixed_part_of_y_is_res_cor_image", yg == i_n,
             f"dim Y^G = {yg.dim}, dim res(cor) = {i_n.dim}")
-    nmap = norm_map(ext, n)
-    a_cls = class_of(field, ext.a)
-    cup_img = _cup_image(field, a_cls, n)
     if p > 2:
         _, x1x2 = intersect_and_sum(report.x1, report.x2)
-        cor_image = nmap.image_of(x1x2)
-        out.add("cor_surjects_onto_cup_image", cup_img.is_subspace_of(cor_image),
-                f"dim cor(X1+X2) = {cor_image.dim}, dim (a)-image = {cup_img.dim}")
+        cor_image = ctx.norm.image_of(x1x2)
+        out.add("cor_surjects_onto_cup_image", ctx.cup_image.is_subspace_of(cor_image),
+                f"dim cor(X1+X2) = {cor_image.dim}, dim (a)-image = {ctx.cup_image.dim}")
     else:
-        cor_x1 = nmap.image_of(report.x1)
-        ann_ax = ann_pair(field, a_cls, n) if n >= 1 else Subspace.zero(p, k_dim(field, n - 1))
-        target = (cup_with(field, a_cls, n).image_of(ann_ax)
-                  if 1 <= n <= 3 else Subspace.zero(p, k_dim(field, n)))
+        cor_x1 = ctx.norm.image_of(report.x1)
+        target = ctx.cup_ann_ax
         iso = cor_x1 == target and cor_x1.dim == report.x1.dim
         out.add("cor_iso_from_x1_onto_cup_annpair", iso,
                 f"dim cor(X1) = {cor_x1.dim}, target = {target.dim}")
@@ -395,19 +414,14 @@ def check_canonical(ext: KummerExtension, n: int) -> Checklist:
     with images of powers of (sigma - 1), the six-term exact sequence, and
     the unseeded module profile against the invariants."""
     field, p = ext.base, ext.p
-    inv = compute_invariants(ext, n)
-    sp = _structure_spaces(ext, n)
-    module, mg, i_f, i_n = sp["module"], sp["mg"], sp["i_f"], sp["i_n"]
+    ctx = structure_context(ext, n)
+    inv = ctx.invariants
+    module, mg, i_f, i_n = ctx.module, ctx.mg, ctx.i_f, ctx.i_n
     out = Checklist()
     out.add("norm_power_identity", i_n == omega_image(module, p - 1),
             "res(cor) image equals the image of the top power of (sigma-1)")
     first, _ = intersect_and_sum(omega_image(module, 1), mg)
-    if p > 2:
-        _, expected_first = intersect_and_sum(sp["i_xi"], i_n)
-    else:
-        expected_first = i_n
-    out.add("first_power_intersection", first == expected_first,
-            f"dim = {first.dim}")
+    out.add("first_power_intersection", first == ctx.inner, f"dim = {first.dim}")
     higher_ok = True
     for i in range(3, p + 1):
         inter, _ = intersect_and_sum(omega_image(module, i - 1), mg)
@@ -416,42 +430,33 @@ def check_canonical(ext: KummerExtension, n: int) -> Checklist:
 
     # six-term sequence through k_{n-1}(F), k_n(F), the fixed part, and
     # the (a)-multiples of ann(a, xi)
-    a_cls = class_of(field, ext.a)
-    kn1 = k_dim(field, n - 1)
-    ann_a = ann_cup(field, a_cls, n) if n >= 1 else Subspace.zero(p, kn1)
-    ann_ax = ann_pair(field, a_cls, n) if n >= 1 else Subspace.zero(p, kn1)
-    cup_map = cup_with(field, a_cls, n) if 1 <= n <= 3 else None
-    cup_img = _cup_image(field, a_cls, n)
-    kn = k_dim(field, n)
-
-    if cup_map is not None and cup_map.exact_scalars:
-        ker_cup = cup_map.kernel()
+    ann_a, cup_img = ctx.ann_a, ctx.cup_image
+    kn1, kn = k_dim(field, n - 1), k_dim(field, n)
+    if ctx.cup is not None and ctx.cup.exact_scalars:
+        ker_cup = ctx.cup.kernel()
         out.add("six_term_exact_at_kn1", ker_cup == ann_a,
                 f"ker dim {ker_cup.dim}, ann dim {ann_a.dim}")
     else:
         # marker scalars: certify by membership of the annihilator basis plus
         # the dimension count forced by the rank of the cup map
         member_ok = all(
-            symbol(field, a_cls, KClass(k_group(field, n - 1), v)).is_zero()
+            symbol(field, ctx.a_cls, KClass(k_group(field, n - 1), v)).is_zero()
             for v in ann_a.basis
         ) if n == 2 else True
         rank = cup_img.dim
         out.add("six_term_exact_at_kn1", member_ok and ann_a.dim == kn1 - rank,
                 f"ann dim {ann_a.dim}, cup rank {rank}")
 
-    res_n = sp["res"]
-    ker_res = res_n.kernel()
+    ker_res = ctx.res.kernel()
     out.add("six_term_exact_at_kn", cup_img == ker_res,
             f"cup image dim {cup_img.dim}, ker res dim {ker_res.dim}")
 
-    ker_norm = norm_map(ext, n).kernel()
-    ker_in_fixed, _ = intersect_and_sum(ker_norm, mg)
+    ker_in_fixed, _ = intersect_and_sum(ctx.norm.kernel(), mg)
     out.add("six_term_exact_at_fixed", i_f == ker_in_fixed,
             f"res image dim {i_f.dim}, ker cap fixed dim {ker_in_fixed.dim}")
 
-    norm_of_fixed = norm_map(ext, n).image_of(mg)
-    last = (cup_map.image_of(ann_ax) if cup_map is not None
-            else Subspace.zero(p, kn))
+    norm_of_fixed = ctx.norm.image_of(mg)
+    last = ctx.cup_ann_ax
     out.add("six_term_exact_at_end", norm_of_fixed == last,
             f"cor(fixed) dim {norm_of_fixed.dim}, (a)ann(a,xi) dim {last.dim}")
 
@@ -474,21 +479,13 @@ def check_lemma_VW(ext: KummerExtension, n: int) -> Checklist:
     """Injectivity of cup product with a on the complement V + W of
     ann(a) in k_{n-1}, and (odd p) of the xi-cup composed with
     restriction on W."""
-    field, p = ext.base, ext.p
-    a_cls = class_of(field, ext.a)
-    kn1 = k_dim(field, n - 1)
-    full = Subspace.full(p, kn1)
-    ann_a = ann_cup(field, a_cls, n) if n >= 1 else Subspace.zero(p, kn1)
-    ann_ax = ann_pair(field, a_cls, n) if n >= 1 else Subspace.zero(p, kn1)
-    v = complement(ann_a, ann_ax)
-    w = complement(ann_ax, full)
-    _, vw = intersect_and_sum(v, w)
+    ctx = structure_context(ext, n)
+    v = complement(ctx.ann_a, ctx.ann_ax)
+    _, vw = intersect_and_sum(v, ctx.w)
     out = Checklist()
-    cup_img = _cup_image(field, a_cls, n)
-    if 1 <= n <= 3:
-        cup_map = cup_with(field, a_cls, n)
-        restricted = cup_map.image_of(vw)
-        if cup_map.exact_scalars or vw.dim <= 1:
+    if ctx.cup is not None:
+        restricted = ctx.cup.image_of(vw)
+        if ctx.cup.exact_scalars or vw.dim <= 1:
             injective = restricted.dim == vw.dim
         else:
             # odd p, degree 2: the target is a line, so an injection can only
@@ -496,16 +493,15 @@ def check_lemma_VW(ext: KummerExtension, n: int) -> Checklist:
             injective = False
         out.add("cup_injective_on_vw", injective,
                 f"dim V+W = {vw.dim}, image dim = {restricted.dim}")
-        out.add("cup_image_from_vw", restricted == cup_img)
+        out.add("cup_image_from_vw", restricted == ctx.cup_image)
     else:
         out.add("cup_injective_on_vw", vw.dim == 0, "degenerate degree")
-        out.add("cup_image_from_vw", cup_img.dim == 0)
-    if p > 2:
-        sp = _structure_spaces(ext, n)
-        if sp["xi_cup_map"] is not None:
-            img_w = sp["xi_cup_map"].image_of(w)
-            out.add("xi_cup_injective_on_w", img_w.dim == w.dim,
-                    f"dim W = {w.dim}, image dim = {img_w.dim}")
+        out.add("cup_image_from_vw", ctx.cup_image.dim == 0)
+    if ext.p > 2:
+        if ctx.xi_cup is not None:
+            img_w = ctx.xi_cup.image_of(ctx.w)
+            out.add("xi_cup_injective_on_w", img_w.dim == ctx.w.dim,
+                    f"dim W = {ctx.w.dim}, image dim = {img_w.dim}")
         else:
-            out.add("xi_cup_injective_on_w", w.dim == 0, "degenerate degree")
+            out.add("xi_cup_injective_on_w", ctx.w.dim == 0, "degenerate degree")
     return out

@@ -172,6 +172,28 @@ def test_verify_fault_injection_flips_exit_code(capsys, monkeypatch):
     assert code == 1
 
 
+def test_verify_norm_fault_injection_flips_exit_code(capsys, monkeypatch):
+    """Corrupting one entry of the degree-1 norm matrix must turn exit 0
+    into 1: the checks that read the shared context can still fail."""
+    real_build = M._build_norm_map
+
+    def corrupted(ext, n):
+        kmap = real_build(ext, n)
+        if n != 1:
+            return kmap
+        entries = kmap.matrix.entries.copy()
+        entries[1, 0] = (entries[1, 0] + 1) % ext.p
+        return M.KMap(kmap.source, kmap.target, FpMatrix(ext.p, entries))
+
+    monkeypatch.setattr(M, "_build_norm_map", corrupted)
+    code, out, _ = run(capsys, "verify", "--preset", "Q2", "--a", "2")
+    assert code == 1
+    # the norm image keeps codimension 1; the decomposition and six-term
+    # checks catch the corruption
+    assert "FAILED: cor_iso_from_x1_onto_cup_annpair" in out
+    assert "FAILED: six_term_exact_at_end" in out
+
+
 def test_bad_degree_rejected(capsys):
     code, _, err = run(capsys, "verify", "--preset", "Q2", "--n", "7")
     assert code == 2
@@ -182,6 +204,14 @@ def test_precision_override_too_small(capsys):
     assert code == 2
 
 
+def test_precision_override_up_to_the_maximum(capsys):
+    # twice the default (18 for Q2) and the policy maximum of eight times it
+    for precision in ("36", "144"):
+        code, out, _ = run(capsys, "field", "--preset", "Q2", "--precision", precision)
+        assert code == 0
+        assert f"precision: {precision} uniformizer digits" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -190,6 +220,14 @@ def test_precision_override_too_small(capsys):
         ["field", "--spec", '{"p": 2, "steps": [{"kind": "unramified", "degree": 2.5}]}'],
         ["field", "--spec", '{"p": 2, "steps": [], "precision": "x"}'],
         ["field", "--spec", '{"p": 2, "steps": {}}'],
+        ["field", "--preset", "Q2", "--precision", "0"],
+        ["field", "--preset", "Q2", "--precision", "145"],
+        ["field", "--spec", '{"p": 2, "precision": 64000}'],
+        ["field", "--spec", '{"p": 2, "steps": [{"kind": "unramified", "degree": 65}]}'],
+        ["field", "--spec", '{"p": 2, "steps": [{"kind": "unramified", "degree": 200}]}'],
+        ["field", "--spec", '{"p": 3, "steps": [{"kind": "unramified", "degree": 41}]}'],
+        ["field", "--spec", '{"p": 2, "steps": [{"kind": "unramified", "degree": 9}, '
+                            '{"kind": "unramified", "degree": 3}]}'],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):

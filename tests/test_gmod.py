@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmod_helpers import conjugate
 from knorm.errors import InputError
 from knorm.fplin import FpMatrix, Subspace, intersect_and_sum
 from knorm.gmod import (
@@ -129,7 +130,7 @@ def test_decompose_conjugated_blocks():
     rng = random.Random(7)
     m = GModule.jordan_blocks(3, [1, 2, 3])
     g = random_invertible(rng, 3, 6)
-    conj = m.conjugate(g)
+    conj = conjugate(m, g)
     dec = decompose(conj)
     assert dec.profile == multiplicity_oracle(conj)
     assert dec.profile == SummandProfile(3, [1, 1, 1])
@@ -141,7 +142,7 @@ def test_decompose_invariants_hold():
     rng = random.Random(11)
     for p in (2, 3, 5):
         sizes = [rng.randrange(1, p + 1) for _ in range(4)]
-        m = GModule.jordan_blocks(p, sizes).conjugate(random_invertible(rng, p, sum(sizes)))
+        m = conjugate(GModule.jordan_blocks(p, sizes), random_invertible(rng, p, sum(sizes)))
         dec = decompose(m)
         # Direct sum: total dimension and pairwise trivial intersections.
         total = None
@@ -167,7 +168,7 @@ def test_summand_count_equals_fixed_dim():
     rng = random.Random(3)
     for p in (2, 3, 5):
         sizes = [rng.randrange(1, p + 1) for _ in range(3)]
-        m = GModule.jordan_blocks(p, sizes).conjugate(random_invertible(rng, p, sum(sizes)))
+        m = conjugate(GModule.jordan_blocks(p, sizes), random_invertible(rng, p, sum(sizes)))
         dec = decompose(m)
         assert dec.profile.summand_count == fixed_points(m).dim
         cokernel_dim = m.dim - omega_image(m, 1).dim
@@ -193,7 +194,7 @@ def test_verify_exclusion_after_decompose():
     rng = random.Random(23)
     for p in (2, 3):
         sizes = [rng.randrange(1, p + 1) for _ in range(3)]
-        m = GModule.jordan_blocks(p, sizes).conjugate(random_invertible(rng, p, sum(sizes)))
+        m = conjugate(GModule.jordan_blocks(p, sizes), random_invertible(rng, p, sum(sizes)))
         dec = decompose(m)
         parts = [dec.summand_bases[i] for i in range(1, p + 1) if dec.summand_bases[i].dim]
         assert verify_exclusion(parts, m)
@@ -214,7 +215,7 @@ def conjugated_modules(draw):
     import random
 
     rng = random.Random(seed)
-    return GModule.jordan_blocks(p, sizes).conjugate(random_invertible(rng, p, n))
+    return conjugate(GModule.jordan_blocks(p, sizes), random_invertible(rng, p, n))
 
 
 @settings(max_examples=40, deadline=None)

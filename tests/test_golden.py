@@ -1,0 +1,36 @@
+"""Byte-for-byte reports of the command line on small presets.
+
+Each file under ``golden/`` is the standard output of one command, with
+``--json`` for the ``.json`` file and without it for the ``.txt`` file,
+for example ``knorm verify --preset Q2 --json > golden/verify_Q2.json``.
+The files fix the reports as they stood before the per-(extension,
+degree) context was introduced; a change to any of them is a change of
+the program's output and must be deliberate.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from knorm import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+MANUAL = '{"p":2,"n":2,"h":[1,3,1],"a":[2,1],"minus_one_norm":true}'
+CASES = {
+    "verify_Q2": ["verify", "--preset", "Q2"],
+    "verify_Q2_n01234": ["verify", "--preset", "Q2", "--n", "0", "1", "2", "3", "4"],
+    "verify_Q2sqrt2": ["verify", "--preset", "Q2sqrt2"],
+    "verify_Q2unram2": ["verify", "--preset", "Q2unram2"],
+    "euler_Q2_n12": ["euler", "--preset", "Q2", "--n", "1", "2"],
+    "euler_manual": ["euler", "--manual", MANUAL],
+    "verify_manual": ["verify", "--manual", MANUAL],
+}
+
+
+@pytest.mark.parametrize("suffix", ["json", "txt"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(capsys, name, suffix):
+    argv = CASES[name] + (["--json"] if suffix == "json" else [])
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.{suffix}").read_text()

@@ -227,6 +227,9 @@ def test_precision_policy():
     assert default_precision(2, 1) == 18
     with pytest.raises(InputError):
         LocalField(2, precision=3)
+    assert LocalField(2, precision=8 * 18).prec == 144
+    with pytest.raises(InputError):
+        LocalField(2, precision=8 * 18 + 1)
 
 
 def test_field_spec_parsing():
