@@ -137,6 +137,17 @@ def test_x1_z_positioning(sqrt2):
     assert rep.z.is_subspace_of(i_f)
 
 
+def test_context_is_cached_until_released():
+    field = LocalField(2)
+    ext = M.get_extension(field, field.element(5))
+    ctx = S.structure_context(ext, 1)
+    assert S.structure_context(ext, 1) is ctx
+    assert ctx.invariants == S.compute_invariants(ext, 1)
+    assert ctx.i_n.is_subspace_of(ctx.i_f)
+    M.release_caches(field)
+    assert S.structure_context(ext, 1) is not ctx
+
+
 def test_invariants_ctor_rejects_relation_violation():
     with pytest.raises(MathCheckError):
         S.Invariants(2, 1, d=1, e=2, upsilon1=1, upsilon2=0, y=0, z=1)
