@@ -114,27 +114,12 @@ class KClass:
             raise InputError("classes belong to different groups")
         return KClass(self.group, self.coords + other.coords)
 
-    def __neg__(self) -> "KClass":
-        return KClass(self.group, -self.coords)
-
-    def __sub__(self, other: "KClass") -> "KClass":
-        return self + (-other)
-
-    def __rmul__(self, k: int) -> "KClass":
-        return KClass(self.group, self.coords * int(k))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, KClass)
             and other.group is self.group
             and bool(np.array_equal(self.coords, other.coords))
         )
-
-    def representative(self) -> PadicElement:
-        """A field element representing the class (degree 1 only)."""
-        if self.group.n != 1:
-            raise InputError("representatives exist only in degree 1")
-        return self.group.field.k1_element([int(c) for c in self.coords])
 
     def __repr__(self) -> str:
         return f"KClass(k{self.group.n}, {list(map(int, self.coords))})"

@@ -14,12 +14,12 @@ built once, by structure_context, into a StructureContext kept in the
 extension's cache (milnor.release_caches empties it).  Its base side,
 built at once, holds the class of a, ann(a) and ann(a, xi) in k_{n-1}(F),
 the cup map with a and its images, the xi-cup image (odd p) and the norm
-map with its image.  Its Galois side, built on first use since the
-invariants and the Euler formulas never read it, holds the sigma-module,
-its fixed part, the restriction map, i_f = im res, i_n = im(res . norm)
-and the restricted xi-cup map with its image (odd p).  The inclusion
-checks run once, as each side is built, and the invariants are
-compute_invariants of the pair, taken once.
+map with its image.  Its Galois side, a GaloisSide that galois() builds
+on the first call since the invariants and the Euler formulas never read
+it, holds the sigma-module, its fixed part, the restriction map,
+i_f = im res, i_n = im(res . norm) and the restricted xi-cup map with
+its image (odd p).  The inclusion checks run once, as each side is
+built, and the invariants are compute_invariants of the pair, taken once.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ __all__ = [
     "CheckItem",
     "Checklist",
     "StructureContext",
+    "GaloisSide",
     "structure_context",
     "compute_invariants",
     "decompose_knE",
@@ -210,22 +211,19 @@ class StructureReport:
 
 class StructureContext:
     """The cached data of one (extension, degree) pair (see the module
-    docstring).  ``cup``, ``xi_map`` (odd p) and ``xi_cup`` are None
-    outside degrees 1..3; ``xi_cup`` is ``xi_map`` followed by
-    restriction.  ``w`` is the pinned complement of ann(a, xi),
-    ``cup_ann_ax`` the cup image of ann(a, xi), and ``inner`` is
-    i_xi + i_n (i_n when p = 2)."""
+    docstring).  ``cup`` and ``xi_map`` (odd p) are None outside degrees
+    1..3.  ``w`` is the pinned complement of ann(a, xi) and
+    ``cup_ann_ax`` the cup image of ann(a, xi)."""
 
     __slots__ = (
         "ext", "n", "a_cls", "ann_a", "ann_ax", "w", "cup", "cup_image", "cup_ann_ax",
-        "xi_map", "xi_image", "norm", "norm_image", "_invariants",
-        "module", "mg", "res", "i_f", "i_n", "xi_cup", "i_xi", "inner",
+        "xi_map", "xi_image", "norm", "norm_image", "_invariants", "_galois",
     )
 
     def __init__(self, ext: KummerExtension, n: int) -> None:
         field, p = ext.base, ext.p
         kn, kn1 = k_dim(field, n), k_dim(field, n - 1)
-        self.ext, self.n, self._invariants = ext, n, None
+        self.ext, self.n, self._invariants, self._galois = ext, n, None, None
         self.a_cls = a_cls = class_of(field, ext.a)
         self.ann_a = ann_cup(field, a_cls, n)
         self.ann_ax = ann_pair(field, a_cls, n)
@@ -249,33 +247,12 @@ class StructureContext:
         elif not self.cup_ann_ax.is_subspace_of(self.norm_image):
             raise MathCheckError("(a)-multiples of ann(a,-1) are not norms")
 
-    def __getattr__(self, name):
-        # reached only for unset slots: build the Galois side on first use
-        if name not in _GALOIS_SIDE:
-            raise AttributeError(name)
-        self._build_galois_side()
-        return object.__getattribute__(self, name)
-
-    def _build_galois_side(self) -> None:
-        """Build and check the Galois side; nothing is stored unless every
-        check passes, so a failed check fails again on the next access."""
-        module = sigma_map(self.ext, self.n)
-        res = restriction_map(self.ext, self.n)
-        mg = fixed_points(module)
-        i_f = res.image()
-        i_n = (res @ self.norm).image()
-        if not i_f.is_subspace_of(mg):
-            raise MathCheckError("restriction image is not fixed by the Galois action")
-        if not i_n.is_subspace_of(i_f):
-            raise MathCheckError("restricted norms do not factor through the restriction image")
-        xi_cup = i_xi = None
-        inner = i_n
-        if self.ext.p > 2:
-            xi_cup = res @ self.xi_map if self.xi_map is not None else None
-            i_xi = xi_cup.image() if xi_cup is not None else Subspace.zero(self.ext.p, module.dim)
-            _, inner = intersect_and_sum(i_xi, i_n)
-        self.module, self.res, self.mg, self.i_f, self.i_n = module, res, mg, i_f, i_n
-        self.xi_cup, self.i_xi, self.inner = xi_cup, i_xi, inner
+    def galois(self) -> "GaloisSide":
+        """The Galois side, built and checked on the first call; a failed
+        check stores nothing, so it fails again on the next call."""
+        if self._galois is None:
+            self._galois = GaloisSide(self)
+        return self._galois
 
     @property
     def invariants(self) -> Invariants:
@@ -284,7 +261,30 @@ class StructureContext:
         return self._invariants
 
 
-_GALOIS_SIDE = frozenset({"module", "mg", "res", "i_f", "i_n", "xi_cup", "i_xi", "inner"})
+class GaloisSide:
+    """The sigma-module of a pair, its fixed part ``mg``, the restriction
+    map ``res``, i_f = im res, i_n = im(res . norm), for odd p the
+    restricted xi-cup map ``xi_cup`` (None outside degrees 1..3), and
+    ``inner`` = i_xi + i_n (i_n when p = 2)."""
+
+    __slots__ = ("module", "mg", "res", "i_f", "i_n", "xi_cup", "inner")
+
+    def __init__(self, ctx: StructureContext) -> None:
+        ext, n = ctx.ext, ctx.n
+        self.module = sigma_map(ext, n)
+        self.res = restriction_map(ext, n)
+        self.mg = fixed_points(self.module)
+        self.i_f = self.res.image()
+        self.i_n = self.inner = (self.res @ ctx.norm).image()
+        if not self.i_f.is_subspace_of(self.mg):
+            raise MathCheckError("restriction image is not fixed by the Galois action")
+        if not self.i_n.is_subspace_of(self.i_f):
+            raise MathCheckError("restricted norms do not factor through the restriction image")
+        self.xi_cup = None
+        if ext.p > 2:
+            self.xi_cup = self.res @ ctx.xi_map if ctx.xi_map is not None else None
+            i_xi = self.xi_cup.image() if self.xi_cup is not None else Subspace.zero(ext.p, self.module.dim)
+            _, self.inner = intersect_and_sum(i_xi, self.i_n)
 
 
 def structure_context(ext: KummerExtension, n: int) -> StructureContext:
@@ -333,19 +333,19 @@ def decompose_knE(ext: KummerExtension, n: int) -> StructureReport:
     """
     p = ext.p
     ctx = structure_context(ext, n)
-    inv = ctx.invariants
-    module, mg, i_f, i_n = ctx.module, ctx.mg, ctx.i_f, ctx.i_n
+    inv, gal = ctx.invariants, ctx.galois()
+    module, mg, i_f, i_n = gal.module, gal.mg, gal.i_f, gal.i_n
     dim_e = module.dim
     x1 = complement(i_f, mg)
-    if not ctx.inner.is_subspace_of(i_f):
+    if not gal.inner.is_subspace_of(i_f):
         raise MathCheckError("inner seed space is not inside the restriction image")
-    z = complement(ctx.inner, i_f)
+    z = complement(gal.inner, i_f)
     inter, l1 = intersect_and_sum(x1, z)
     if inter.dim:
         raise MathCheckError("X1 and Z overlap")
     seeds: dict[int, Subspace] = {1: l1}
     if p > 2:
-        seeds[2] = ctx.xi_cup.image_of(ctx.w) if ctx.xi_cup is not None else Subspace.zero(p, dim_e)
+        seeds[2] = gal.xi_cup.image_of(ctx.w) if gal.xi_cup is not None else Subspace.zero(p, dim_e)
         for i in range(3, p):
             seeds[i] = Subspace.zero(p, dim_e)
         seeds[p] = i_n
@@ -375,7 +375,8 @@ def check_theorem_items(report: StructureReport) -> Checklist:
     p = report.ext.p
     inv = report.invariants
     ctx = structure_context(report.ext, report.n)
-    module, mg, i_f, i_n = ctx.module, ctx.mg, ctx.i_f, ctx.i_n
+    gal = ctx.galois()
+    module, mg, i_f, i_n = gal.module, gal.mg, gal.i_f, gal.i_n
     out = Checklist()
     out.add("x1_trivial", report.x1.is_subspace_of(mg), f"dim X1 = {report.x1.dim}")
     inter, _ = intersect_and_sum(report.x1, i_f)
@@ -415,13 +416,13 @@ def check_canonical(ext: KummerExtension, n: int) -> Checklist:
     the unseeded module profile against the invariants."""
     field, p = ext.base, ext.p
     ctx = structure_context(ext, n)
-    inv = ctx.invariants
-    module, mg, i_f, i_n = ctx.module, ctx.mg, ctx.i_f, ctx.i_n
+    inv, gal = ctx.invariants, ctx.galois()
+    module, mg, i_f, i_n = gal.module, gal.mg, gal.i_f, gal.i_n
     out = Checklist()
     out.add("norm_power_identity", i_n == omega_image(module, p - 1),
             "res(cor) image equals the image of the top power of (sigma-1)")
     first, _ = intersect_and_sum(omega_image(module, 1), mg)
-    out.add("first_power_intersection", first == ctx.inner, f"dim = {first.dim}")
+    out.add("first_power_intersection", first == gal.inner, f"dim = {first.dim}")
     higher_ok = True
     for i in range(3, p + 1):
         inter, _ = intersect_and_sum(omega_image(module, i - 1), mg)
@@ -447,7 +448,7 @@ def check_canonical(ext: KummerExtension, n: int) -> Checklist:
         out.add("six_term_exact_at_kn1", member_ok and ann_a.dim == kn1 - rank,
                 f"ann dim {ann_a.dim}, cup rank {rank}")
 
-    ker_res = ctx.res.kernel()
+    ker_res = gal.res.kernel()
     out.add("six_term_exact_at_kn", cup_img == ker_res,
             f"cup image dim {cup_img.dim}, ker res dim {ker_res.dim}")
 
@@ -498,8 +499,9 @@ def check_lemma_VW(ext: KummerExtension, n: int) -> Checklist:
         out.add("cup_injective_on_vw", vw.dim == 0, "degenerate degree")
         out.add("cup_image_from_vw", ctx.cup_image.dim == 0)
     if ext.p > 2:
-        if ctx.xi_cup is not None:
-            img_w = ctx.xi_cup.image_of(ctx.w)
+        xi_cup = ctx.galois().xi_cup
+        if xi_cup is not None:
+            img_w = xi_cup.image_of(ctx.w)
             out.add("xi_cup_injective_on_w", img_w.dim == ctx.w.dim,
                     f"dim W = {ctx.w.dim}, image dim = {img_w.dim}")
         else:

@@ -2,6 +2,7 @@ import gc
 import json
 import weakref
 
+import numpy as np
 import pytest
 
 from knorm import cli
@@ -279,3 +280,17 @@ def test_verify_q5zeta5_uniformizer_canonical(capsys):
         assert d["z_trivial"] == f"dim Z = {z}"
         assert d["y_free_rank"] == f"rank Y = {y}"
         assert d["total_dimension"] == f"dim = {total}"
+
+
+def test_report_json_matches_the_standard_encoder():
+    report = {
+        "ints": [1, -2, np.int64(3)],
+        "literals": [True, False, None, np.bool_(True)],
+        "text": "\u00e9\"\n",
+        "empty": [[], {}, ()],
+        "tuples": (1, (2, "x")),
+        "floats": [1.5, float("nan"), np.float64(2.5)],
+        "array": np.array([[1, 2], [3, 4]]),
+        "nested": {"a": {"b": [{"c": np.arange(2)}, []]}},
+    }
+    assert cli._to_json(report) == json.dumps(report, indent=2, default=cli._json_default)

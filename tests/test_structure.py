@@ -143,7 +143,9 @@ def test_context_is_cached_until_released():
     ctx = S.structure_context(ext, 1)
     assert S.structure_context(ext, 1) is ctx
     assert ctx.invariants == S.compute_invariants(ext, 1)
-    assert ctx.i_n.is_subspace_of(ctx.i_f)
+    gal = ctx.galois()
+    assert ctx.galois() is gal
+    assert gal.i_n.is_subspace_of(gal.i_f)
     M.release_caches(field)
     assert S.structure_context(ext, 1) is not ctx
 
