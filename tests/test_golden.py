@@ -3,8 +3,9 @@
 Each file under ``golden/`` is the standard output of one command, with
 ``--json`` for the ``.json`` file and without it for the ``.txt`` file,
 for example ``knorm verify --preset Q2 --json > golden/verify_Q2.json``.
-The files fix the reports as they stood before the per-(extension,
-degree) context was introduced; a change to any of them is a change of
+The cases cover p = 2 on three presets and on the degrees 0..4, the
+Euler runs, the manual profile, and one odd prime: Q3(zeta_3) over the
+uniformizer on the degrees 0..4.  A change to any file is a change of
 the program's output and must be deliberate.
 """
 
@@ -21,6 +22,9 @@ CASES = {
     "verify_Q2_n01234": ["verify", "--preset", "Q2", "--n", "0", "1", "2", "3", "4"],
     "verify_Q2sqrt2": ["verify", "--preset", "Q2sqrt2"],
     "verify_Q2unram2": ["verify", "--preset", "Q2unram2"],
+    "verify_Q3zeta3_uniformizer_n01234": [
+        "verify", "--preset", "Q3zeta3", "--a", "uniformizer", "--n", "0", "1", "2", "3", "4",
+    ],
     "euler_Q2_n12": ["euler", "--preset", "Q2", "--n", "1", "2"],
     "euler_manual": ["euler", "--manual", MANUAL],
     "verify_manual": ["verify", "--manual", MANUAL],
