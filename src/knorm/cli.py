@@ -314,8 +314,7 @@ def _euler_rows(exts, degrees):
 
 def _corollary(profs):
     """The corollary checks over the profiles and the line that sums up the
-    doubling probe.  No class count is passed: the profiles come one to one
-    from the extensions, and enumerate_extension_classes checks that count."""
+    doubling probe."""
     crep = corollary_checks(profs)
     doubling = (
         f"chi doubles for {sum(r['chi_doubles'] for r in crep.rows)}/{crep.count} subgroups"

@@ -13,7 +13,7 @@ characteristic identities are verified exactly.
 from __future__ import annotations
 
 from .errors import InputError, MathCheckError, UnsupportedOperationError
-from .milnor import class_of, get_extension, k_dim, k_group, norm_subgroup
+from .milnor import get_extension, k_dim, k_group, norm_subgroup, xi_class
 from .padic import KummerExtension, LocalField
 from .structure import structure_context
 
@@ -113,7 +113,7 @@ def profile_from_field(ext: KummerExtension, n: int) -> CohomologyProfile:
     a = [structure_context(ext, i + 1).ann_a.dim for i in range(1, n + 1)]
     minus_one = None
     if field.p == 2:
-        minus_one = norm_subgroup(ext).contains(class_of(field, field.element(-1)).coords)
+        minus_one = norm_subgroup(ext).contains(xi_class(field).coords)  # xi = -1
     return CohomologyProfile(
         field.p, n, h, a, "local_field", ext=ext, minus_one_norm=minus_one,
         label=ext.label or "",
@@ -262,19 +262,25 @@ def theorem3_check(profile: CohomologyProfile) -> EPReport:
                 pass  # unlicensed p = 2 instance
             variants_agree = variants_agree and agree
     b_lhs = b_rhs = None
-    chi_free = None
-    try:
-        licensed = profile.licensed_for_free_formula()
-    except InputError:
-        licensed = False
-    if licensed:
-        chi_free = p * sum(
-            (-1) ** i * (profile.a_at(i) - profile.d_at(i - 1)) for i in range(1, n + 1)
-        )
+    chi_free = _chi_free(profile)
+    if chi_free is not None:
         b_lhs = chi_N
         b_rhs = chi_free + (-1) ** n * d_n
     return EPReport(profile, chi_T, chi_N, chi_free, dims, a_lhs, a_rhs, b_lhs, b_rhs,
                     variants_agree)
+
+
+def _chi_free(profile: CohomologyProfile) -> int | None:
+    """chi_free(N) = p * sum (-1)^i (a_i - d_{i-1}) over i = 1..n, or None
+    where the free formula is not licensed."""
+    try:
+        if not profile.licensed_for_free_formula():
+            return None
+    except InputError:
+        return None
+    return profile.p * sum(
+        (-1) ** i * (profile.a_at(i) - profile.d_at(i - 1)) for i in range(1, profile.n + 1)
+    )
 
 
 def enumerate_extension_classes(field: LocalField) -> list[KummerExtension]:
@@ -334,17 +340,12 @@ class CorollaryReport:
         }
 
 
-def corollary_checks(profiles: list[CohomologyProfile],
-                     expected_count: int | None = None) -> CorollaryReport:
+def corollary_checks(profiles: list[CohomologyProfile]) -> CorollaryReport:
     """Per profile, the equivalence of chi_n(N) = p chi_n(T) with the
     surjectivity of corestriction (d_n = 0), plus the aggregate probe:
     doubling for every subgroup detects cohomological dimension <= n."""
     if not profiles:
         raise InputError("corollary checks need at least one profile")
-    if expected_count is not None and len(profiles) != expected_count:
-        raise InputError(
-            f"incomplete enumeration: {len(profiles)} profiles, expected {expected_count}"
-        )
     n = profiles[0].n
     rows = []
     for prof in profiles:
@@ -364,12 +365,9 @@ def corollary_checks(profiles: list[CohomologyProfile],
             "cor_surjective": cor_onto,
             "equivalence_ok": doubles == cor_onto,
         }
-        try:
-            if prof.licensed_for_free_formula():
-                rep = theorem3_check(prof)
-                row["chi_free"] = rep.chi_free_N
-                row["free_equivalence_ok"] = (chi_N == rep.chi_free_N) == doubles
-        except InputError:
-            pass
+        chi_free = _chi_free(prof)
+        if chi_free is not None:
+            row["chi_free"] = chi_free
+            row["free_equivalence_ok"] = (chi_N == chi_free) == doubles
         rows.append(row)
     return CorollaryReport(n, rows)

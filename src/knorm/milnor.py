@@ -9,12 +9,13 @@ E/F, and the numerical verifications of the exactness statements tying
 them together.
 
 Symbols are decided by the norm criterion: (a, b) vanishes iff b's class
-is a norm from F(a^{1/p}).  For p = 2 that pins symbol values exactly;
-for odd p the identification of k_2 with F_p is fixed only up to a
-scalar, so individual symbols are reported zero/nonzero and every
-consumer works at the level of subspaces of the one-dimensional k_2,
-where the scalar is invisible.  Comparing sums of two independent
-symbols is refused rather than answered wrongly.
+is a norm from F(a^{1/p}).  By local duality the kernel of b -> (a, b)
+on k_1 is exactly that norm hyperplane N_a, and k_2 is a line, so N_a
+fixes the degree-2 cup map with a up to one scalar: 1 for p = 2, and
+for odd p the identification of k_2 with F_p, which no kernel, image or
+vanishing statement can observe.  How that scalar varies from one class
+a to another is not pinned, so for odd p the nonzero value of a symbol
+is the generator of k_2 by convention only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 
 import numpy as np
 
-from .errors import InputError, MathCheckError, UnsupportedOperationError
+from .errors import InputError, MathCheckError
 from .fplin import FpMatrix, Subspace, kernel_image
 from .gmod import GModule, norm_operator
 from .padic import KummerExtension, LocalField, PadicElement
@@ -40,7 +41,7 @@ __all__ = [
     "release_caches",
     "norm_subgroup",
     "symbol",
-    "compare_symbols",
+    "defining_class",
     "xi_class",
     "norm_map",
     "restriction_map",
@@ -128,14 +129,14 @@ class KClass:
 class KMap:
     """A linear map between K-groups.
 
-    ``exact_scalars`` is False for degree-2 cup maps at odd p, whose
-    column entries are only zero/nonzero markers; such maps are safe for
-    image computations into the 1-dimensional k_2 but not for kernels.
+    Every entry is exact, except that a degree-2 cup map at odd p is
+    exact only up to one global scalar, the identification of k_2 with
+    F_p (see cup_with); no kernel or image sees it.
     """
 
-    __slots__ = ("source", "target", "matrix", "exact_scalars")
+    __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: KGroup, target: KGroup, matrix, exact_scalars=True) -> None:
+    def __init__(self, source: KGroup, target: KGroup, matrix) -> None:
         mat = matrix if isinstance(matrix, FpMatrix) else FpMatrix(source.field.p, matrix)
         if mat.rows != target.dim or mat.cols != source.dim:
             raise InputError(
@@ -145,7 +146,6 @@ class KMap:
         self.source = source
         self.target = target
         self.matrix = mat
-        self.exact_scalars = exact_scalars
 
     def apply(self, cls: KClass) -> KClass:
         if cls.group is not self.source:
@@ -156,10 +156,6 @@ class KMap:
         return kernel_image(self.matrix)[1]
 
     def kernel(self) -> Subspace:
-        if not self.exact_scalars:
-            raise UnsupportedOperationError(
-                "kernel of a marker-scalar map is not determined; use ann_cup"
-            )
         return kernel_image(self.matrix)[0]
 
     def image_of(self, sub: Subspace) -> Subspace:
@@ -174,8 +170,7 @@ class KMap:
     def __matmul__(self, other: "KMap") -> "KMap":
         if other.target is not self.source:
             raise InputError("maps do not compose")
-        return KMap(other.source, self.target, self.matrix @ other.matrix,
-                    self.exact_scalars and other.exact_scalars)
+        return KMap(other.source, self.target, self.matrix @ other.matrix)
 
     def __repr__(self) -> str:
         return f"KMap(k{self.source.n}->k{self.target.n}, {self.matrix.rows}x{self.matrix.cols})"
@@ -326,15 +321,26 @@ def norm_subgroup(ext: KummerExtension) -> Subspace:
 
 
 def xi_class(field: LocalField) -> KClass:
-    """The k_1 class of the fixed p-th root of unity (of -1 when p = 2)."""
-    return class_of(field, field.zeta)
+    """The k_1 class of the fixed p-th root of unity (of -1 when p = 2),
+    computed once per field."""
+    if "xi_class" not in field._caches:
+        field._caches["xi_class"] = class_of(field, field.zeta)
+    return field._caches["xi_class"]
+
+
+def defining_class(ext: KummerExtension) -> KClass:
+    """The k_1 class of the Kummer element a, computed once per extension."""
+    if "a_class" not in ext.cache:
+        ext.cache["a_class"] = class_of(ext.base, ext.a)
+    return ext.cache["a_class"]
 
 
 def symbol(field: LocalField, a, b) -> KClass:
     """The degree-2 symbol of two k_1 classes, via the norm criterion.
 
     Zero iff b is a norm from F(a^{1/p}); a trivial a gives zero by
-    convention.  The nonzero value is the chosen generator of k_2.
+    convention.  The nonzero value is the chosen generator of k_2, which
+    for odd p pins the symbol only up to a scalar that depends on a.
     """
     k2 = k_group(field, 2)
     a_coords = _as_k1_coords(field, a)
@@ -347,21 +353,6 @@ def symbol(field: LocalField, a, b) -> KClass:
     if sub.contains(np.array(b_coords, dtype=np.int64)):
         return k2.zero()
     return k2.basis_class(0)
-
-
-def compare_symbols(field: LocalField, first: tuple, second: tuple) -> bool:
-    """Whether two symbols agree in k_2.
-
-    Decidable for p = 2, or whenever one side vanishes; otherwise the
-    degree-2 scalar is unpinned for odd p and the comparison is refused.
-    """
-    s1 = symbol(field, *first)
-    s2 = symbol(field, *second)
-    if field.p == 2 or s1.is_zero() or s2.is_zero():
-        return s1 == s2
-    raise UnsupportedOperationError(
-        "comparing two nonzero symbols needs the unpinned degree-2 scalar (p odd)"
-    )
 
 
 def norm_map(ext: KummerExtension, n: int) -> KMap:
@@ -444,34 +435,31 @@ def sigma_map(ext: KummerExtension, n: int) -> GModule:
 
 
 def cup_with(field: LocalField, a, n: int) -> KMap:
-    """Cup product with a k_1 class, as a map k_{n-1} -> k_n.
+    """Cup product with a k_1 class, as a map k_{n-1} -> k_n, n >= 0.
 
-    Degree 2 at odd p carries marker scalars only (see KMap); its image
-    inside the 1-dimensional k_2 is still exact.
+    Degree 1 is the column a.  Degree 2 is the normal vector of the norm
+    hyperplane N_a = ann_cup(field, a, 2), the zero row for a trivial a:
+    exact up to one global scalar (see the module docstring), so its
+    kernel is N_a.  Every other degree is the zero map.
     """
-    if n not in (1, 2, 3):
-        raise InputError("cup maps are built for degrees 1..3 only")
-    a_coords = _as_k1_coords(field, a)
-    src = k_group(field, n - 1)
-    dst = k_group(field, n)
-    p = field.p
+    if n < 0:
+        raise InputError("cup maps start in degree 0")
+    a_cls = KClass(k_group(field, 1), _as_k1_coords(field, a))
+    src, dst, p = k_group(field, n - 1), k_group(field, n), field.p
     if n == 1:
-        mat = np.array(a_coords, dtype=np.int64).reshape(-1, 1)
-        return KMap(src, dst, mat)
+        return KMap(src, dst, a_cls.coords.reshape(-1, 1))
     if n == 2:
-        a_cls = KClass(k_group(field, 1), a_coords)
-        row = [0 if symbol(field, a_cls, src.basis_class(j)).is_zero() else 1
-               for j in range(src.dim)]
-        exact = p == 2
-        return KMap(src, dst, np.array([row], dtype=np.int64), exact_scalars=exact)
-    return KMap(src, dst, FpMatrix.zero(p, 0, 1))
+        normal = kernel_image(FpMatrix(p, ann_cup(field, a_cls, 2).basis))[0].basis
+        return KMap(src, dst, normal if len(normal) else FpMatrix.zero(p, 1, src.dim))
+    return KMap(src, dst, FpMatrix.zero(p, dst.dim, src.dim))
 
 
 def ann_cup(field: LocalField, a, n: int) -> Subspace:
-    """The annihilator of cup product with a inside k_{n-1}.
+    """The annihilator of cup product with a inside k_{n-1}, that is, the
+    kernel of cup_with(field, a, n).
 
-    Computed from the norm criterion (the norm subgroup in degree 2),
-    which is exact for every p, unlike the marker-scalar cup matrix.
+    In degree 2 it is the norm subgroup N_a (local duality), from which
+    cup_with builds its row.
     """
     a_coords = _as_k1_coords(field, a)
     dim = k_dim(field, n - 1)
@@ -507,8 +495,8 @@ def projection_formula_check(ext: KummerExtension) -> dict[str, bool]:
     comparison is vanishing-ness, which is scalar-free.
     """
     field, top, p = ext.base, ext.top, ext.p
-    a_signed = ext.a if p > 2 else -ext.a
-    rhs_cls = class_of(field, a_signed)
+    # for p = 2, the class of -a, with xi = -1
+    rhs_cls = defining_class(ext) if p > 2 else defining_class(ext) + xi_class(field)
     res1 = restriction_map(ext, 1)
     a_top = class_of(top, ext.A)
     results: dict[str, bool] = {}
@@ -590,27 +578,17 @@ class FourTermReport:
 def verify_voevodsky_seq(ext: KummerExtension, m: int) -> FourTermReport:
     """Exactness of k_{m-1}(E) -> k_{m-1}(F) -> k_m(F) -> k_m(E), with the
     middle maps the norm, cup with a, and restriction."""
-    field = ext.base
-    a_cls = class_of(field, ext.a)
-    nmap = norm_map(ext, m - 1) if m >= 1 else None
-    cup = cup_with(field, a_cls, m) if 1 <= m <= 3 else None
     if m < 1 or m > 3:
         raise InputError("four-term checks cover degrees 1..3")
-    norm_image = nmap.image()
+    field, a_cls = ext.base, defining_class(ext)
+    norm_image = norm_map(ext, m - 1).image()
     cup_ann = ann_cup(field, a_cls, m)
-    exact_at_base = norm_image == cup_ann
-    cup_image = cup.image()
-    if m <= 1:
-        res_kernel = restriction_map(ext, m).kernel()
-    elif m == 2:
-        res_kernel = Subspace.full(field.p, 1)  # degree-2 restriction vanishes
-    else:
-        res_kernel = Subspace.zero(field.p, 0)
-    exact_at_cup = cup_image == res_kernel
+    cup_image = cup_with(field, a_cls, m).image()
+    res_kernel = restriction_map(ext, m).kernel()
     dims = {
         "norm_image": norm_image.dim,
         "cup_annihilator": cup_ann.dim,
         "cup_image": cup_image.dim,
         "restriction_kernel": res_kernel.dim,
     }
-    return FourTermReport(m, dims, exact_at_base, exact_at_cup)
+    return FourTermReport(m, dims, norm_image == cup_ann, cup_image == res_kernel)

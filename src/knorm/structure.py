@@ -28,17 +28,14 @@ from .errors import InputError, MathCheckError
 from .fplin import Subspace, complement, intersect_and_sum
 from .gmod import decompose, fixed_points, multiplicity_oracle, omega_image
 from .milnor import (
-    KClass,
     ann_cup,
     ann_pair,
-    class_of,
     cup_with,
+    defining_class,
     k_dim,
-    k_group,
     norm_map,
     restriction_map,
     sigma_map,
-    symbol,
     xi_class,
 )
 from .padic import KummerExtension
@@ -211,39 +208,36 @@ class StructureReport:
 
 class StructureContext:
     """The cached data of one (extension, degree) pair (see the module
-    docstring).  ``cup`` and ``xi_map`` (odd p) are None outside degrees
-    1..3.  ``w`` is the pinned complement of ann(a, xi) and
-    ``cup_ann_ax`` the cup image of ann(a, xi)."""
+    docstring).  ``xi_map`` and ``xi_image`` are None for p = 2.  ``w``
+    is the pinned complement of ann(a, xi) and ``cup_ann_ax`` the cup
+    image of ann(a, xi)."""
 
     __slots__ = (
-        "ext", "n", "a_cls", "ann_a", "ann_ax", "w", "cup", "cup_image", "cup_ann_ax",
+        "ext", "n", "ann_a", "ann_ax", "w", "cup", "cup_image", "cup_ann_ax",
         "xi_map", "xi_image", "norm", "norm_image", "_invariants", "_galois",
     )
 
     def __init__(self, ext: KummerExtension, n: int) -> None:
         field, p = ext.base, ext.p
-        kn, kn1 = k_dim(field, n), k_dim(field, n - 1)
         self.ext, self.n, self._invariants, self._galois = ext, n, None, None
-        self.a_cls = a_cls = class_of(field, ext.a)
+        a_cls = defining_class(ext)
         self.ann_a = ann_cup(field, a_cls, n)
         self.ann_ax = ann_pair(field, a_cls, n)
         if not self.ann_a.is_subspace_of(self.ann_ax):
             raise MathCheckError("ann(a) is not inside ann(a, xi)")
-        self.w = complement(self.ann_ax, Subspace.full(p, kn1))
+        self.w = complement(self.ann_ax, Subspace.full(p, k_dim(field, n - 1)))
         self.norm = norm_map(ext, n)
         self.norm_image = self.norm.image()
-        has_cup = 1 <= n <= 3
-        self.cup = cup_with(field, a_cls, n) if has_cup else None
-        zero = Subspace.zero(p, kn)
-        self.cup_image = self.cup.image() if has_cup else zero
-        self.cup_ann_ax = self.cup.image_of(self.ann_ax) if has_cup else zero
+        self.cup = cup_with(field, a_cls, n)
+        self.cup_image = self.cup.image()
+        self.cup_ann_ax = self.cup.image_of(self.ann_ax)
         self.xi_map = self.xi_image = None
         if p > 2:
             # the kernel of restriction consists of norms for odd p
             if not self.cup_image.is_subspace_of(self.norm_image):
                 raise MathCheckError("(a)-multiples are not norms")
-            self.xi_map = cup_with(field, xi_class(field), n) if has_cup else None
-            self.xi_image = self.xi_map.image() if has_cup else zero
+            self.xi_map = cup_with(field, xi_class(field), n)
+            self.xi_image = self.xi_map.image()
         elif not self.cup_ann_ax.is_subspace_of(self.norm_image):
             raise MathCheckError("(a)-multiples of ann(a,-1) are not norms")
 
@@ -264,8 +258,8 @@ class StructureContext:
 class GaloisSide:
     """The sigma-module of a pair, its fixed part ``mg``, the restriction
     map ``res``, i_f = im res, i_n = im(res . norm), for odd p the
-    restricted xi-cup map ``xi_cup`` (None outside degrees 1..3), and
-    ``inner`` = i_xi + i_n (i_n when p = 2)."""
+    restricted xi-cup map ``xi_cup``, and ``inner`` = i_xi + i_n (i_n
+    when p = 2)."""
 
     __slots__ = ("module", "mg", "res", "i_f", "i_n", "xi_cup", "inner")
 
@@ -282,9 +276,8 @@ class GaloisSide:
             raise MathCheckError("restricted norms do not factor through the restriction image")
         self.xi_cup = None
         if ext.p > 2:
-            self.xi_cup = self.res @ ctx.xi_map if ctx.xi_map is not None else None
-            i_xi = self.xi_cup.image() if self.xi_cup is not None else Subspace.zero(ext.p, self.module.dim)
-            _, self.inner = intersect_and_sum(i_xi, self.i_n)
+            self.xi_cup = self.res @ ctx.xi_map
+            _, self.inner = intersect_and_sum(self.xi_cup.image(), self.i_n)
 
 
 def structure_context(ext: KummerExtension, n: int) -> StructureContext:
@@ -345,7 +338,7 @@ def decompose_knE(ext: KummerExtension, n: int) -> StructureReport:
         raise MathCheckError("X1 and Z overlap")
     seeds: dict[int, Subspace] = {1: l1}
     if p > 2:
-        seeds[2] = gal.xi_cup.image_of(ctx.w) if gal.xi_cup is not None else Subspace.zero(p, dim_e)
+        seeds[2] = gal.xi_cup.image_of(ctx.w)
         for i in range(3, p):
             seeds[i] = Subspace.zero(p, dim_e)
         seeds[p] = i_n
@@ -433,20 +426,9 @@ def check_canonical(ext: KummerExtension, n: int) -> Checklist:
     # the (a)-multiples of ann(a, xi)
     ann_a, cup_img = ctx.ann_a, ctx.cup_image
     kn1, kn = k_dim(field, n - 1), k_dim(field, n)
-    if ctx.cup is not None and ctx.cup.exact_scalars:
-        ker_cup = ctx.cup.kernel()
-        out.add("six_term_exact_at_kn1", ker_cup == ann_a,
-                f"ker dim {ker_cup.dim}, ann dim {ann_a.dim}")
-    else:
-        # marker scalars: certify by membership of the annihilator basis plus
-        # the dimension count forced by the rank of the cup map
-        member_ok = all(
-            symbol(field, ctx.a_cls, KClass(k_group(field, n - 1), v)).is_zero()
-            for v in ann_a.basis
-        ) if n == 2 else True
-        rank = cup_img.dim
-        out.add("six_term_exact_at_kn1", member_ok and ann_a.dim == kn1 - rank,
-                f"ann dim {ann_a.dim}, cup rank {rank}")
+    ker_cup = ctx.cup.kernel()
+    out.add("six_term_exact_at_kn1", ker_cup == ann_a,
+            f"ker dim {ker_cup.dim}, ann dim {ann_a.dim}")
 
     ker_res = gal.res.kernel()
     out.add("six_term_exact_at_kn", cup_img == ker_res,
@@ -484,26 +466,12 @@ def check_lemma_VW(ext: KummerExtension, n: int) -> Checklist:
     v = complement(ctx.ann_a, ctx.ann_ax)
     _, vw = intersect_and_sum(v, ctx.w)
     out = Checklist()
-    if ctx.cup is not None:
-        restricted = ctx.cup.image_of(vw)
-        if ctx.cup.exact_scalars or vw.dim <= 1:
-            injective = restricted.dim == vw.dim
-        else:
-            # odd p, degree 2: the target is a line, so an injection can only
-            # come from a space of dimension <= 1; certified by nonvanishing
-            injective = False
-        out.add("cup_injective_on_vw", injective,
-                f"dim V+W = {vw.dim}, image dim = {restricted.dim}")
-        out.add("cup_image_from_vw", restricted == ctx.cup_image)
-    else:
-        out.add("cup_injective_on_vw", vw.dim == 0, "degenerate degree")
-        out.add("cup_image_from_vw", ctx.cup_image.dim == 0)
+    restricted = ctx.cup.image_of(vw)
+    out.add("cup_injective_on_vw", restricted.dim == vw.dim,
+            f"dim V+W = {vw.dim}, image dim = {restricted.dim}")
+    out.add("cup_image_from_vw", restricted == ctx.cup_image)
     if ext.p > 2:
-        xi_cup = ctx.galois().xi_cup
-        if xi_cup is not None:
-            img_w = xi_cup.image_of(ctx.w)
-            out.add("xi_cup_injective_on_w", img_w.dim == ctx.w.dim,
-                    f"dim W = {ctx.w.dim}, image dim = {img_w.dim}")
-        else:
-            out.add("xi_cup_injective_on_w", ctx.w.dim == 0, "degenerate degree")
+        img_w = ctx.galois().xi_cup.image_of(ctx.w)
+        out.add("xi_cup_injective_on_w", img_w.dim == ctx.w.dim,
+                f"dim W = {ctx.w.dim}, image dim = {img_w.dim}")
     return out

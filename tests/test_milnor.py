@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from knorm import milnor as M
-from knorm.errors import InputError, MathCheckError, UnsupportedOperationError
+from knorm.errors import InputError
 from knorm.fplin import FpMatrix, Subspace
 from knorm.gmod import norm_operator
 from knorm.padic import LocalField
+from knorm.presets import FIELD_PRESETS
 
 
 @pytest.fixture(scope="module")
@@ -137,19 +138,6 @@ def test_symbol_antisymmetric_p2(q2):
             assert M.symbol(q2, a, b) == M.symbol(q2, b, a)
 
 
-def test_compare_symbols_unsupported_for_odd_p(q2, q3z):
-    a2, a5, am1 = cls(q2, 2), cls(q2, 5), cls(q2, -1)
-    assert M.compare_symbols(q2, (a2, am1), (a5, a5))  # both zero
-    lam_cls = M.class_of(q3z, q3z.gen())
-    zeta_cls = M.xi_class(q3z)
-    one_lam = M.class_of(q3z, q3z.element(1) + q3z.gen())
-    s1 = M.symbol(q3z, lam_cls, one_lam)
-    s2 = M.symbol(q3z, zeta_cls, lam_cls)
-    if not s1.is_zero() and not s2.is_zero():
-        with pytest.raises(UnsupportedOperationError):
-            M.compare_symbols(q3z, (lam_cls, one_lam), (zeta_cls, lam_cls))
-
-
 def test_cup_with_examples(q2):
     a2, a5 = cls(q2, 2), cls(q2, 5)
     cup = M.cup_with(q2, a2, 2)
@@ -164,13 +152,20 @@ def test_cup_with_examples(q2):
     assert KMAP_EQ(cup1.apply(M.k_group(q2, 0).basis_class(0)).coords, a2.coords)
 
 
-def test_cup_kernel_refused_for_marker_maps(q3z):
-    lam_cls = M.class_of(q3z, q3z.gen())
-    cup = M.cup_with(q3z, lam_cls, 2)
-    assert not cup.exact_scalars
-    with pytest.raises(UnsupportedOperationError):
-        cup.kernel()
-    assert M.ann_cup(q3z, lam_cls, 2).dim == 3
+def test_cup_kernel_is_the_norm_hyperplane():
+    """For every nonzero a, the degree-2 cup map has kernel N_a, and it
+    vanishes on each b exactly where the norm criterion kills (a, b)."""
+    for name in ("Q2", "Q2sqrt2", "Q3zeta3"):
+        field = LocalField.from_spec(FIELD_PRESETS[name])
+        grp = M.k_group(field, 1)
+        for a in grp.classes():
+            if a.is_zero():
+                continue
+            cup = M.cup_with(field, a, 2)
+            assert cup.kernel() == M.norm_subgroup(M.get_extension(field, a))
+            for b in grp.classes():
+                assert cup.apply(b).is_zero() == M.symbol(field, a, b).is_zero()
+        M.release_caches(field)
 
 
 def test_ann_pair(q2, q3z):
