@@ -13,7 +13,7 @@ characteristic identities are verified exactly.
 from __future__ import annotations
 
 from .errors import InputError, MathCheckError, UnsupportedOperationError
-from .milnor import get_extension, k_dim, k_group, norm_subgroup, xi_class
+from .milnor import _class_key, get_extension, k_dim, k_group, norm_subgroup, xi_class
 from .padic import KummerExtension, LocalField
 from .structure import structure_context
 
@@ -300,10 +300,7 @@ def enumerate_extension_classes(field: LocalField) -> list[KummerExtension]:
     for cls in grp.classes():
         if cls.is_zero():
             continue
-        coords = [int(c) for c in cls.coords]
-        lead = next(c for c in coords if c)
-        inv = pow(lead, -1, field.p)
-        key = tuple((c * inv) % field.p for c in coords)
+        key = _class_key(field, cls.coords)
         if key in seen:
             continue
         seen.add(key)

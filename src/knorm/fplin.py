@@ -22,7 +22,6 @@ __all__ = [
     "kernel_image",
     "intersect_and_sum",
     "complement",
-    "quotient_dim",
     "solve",
 ]
 
@@ -256,74 +255,32 @@ def intersect_and_sum(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     return inter, total
 
 
-def select_independent(mat: np.ndarray, p: int) -> list[int]:
-    """Indices of rows that strictly increase the rank, scanned in order.
-
-    Maintains a reduced echelon workspace so each row costs one reduction
-    and at most one rank-1 update.
-    """
-    a = np.asarray(mat, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    work = np.zeros((0, ncols), dtype=np.int64)
-    piv_cols: list[int] = []
-    chosen: list[int] = []
-    for idx in range(nrows):
-        v = a[idx]
-        if piv_cols:
-            v = (v - a[idx, piv_cols] @ work) % p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        v = (v * pow(int(v[c]), -1, p)) % p
-        if piv_cols:
-            # keep the workspace reduced against the new pivot column
-            work = (work - np.outer(work[:, c], v)) % p
-        work = np.vstack([work, v.reshape(1, -1)])
-        piv_cols.append(c)
-        chosen.append(idx)
-    return chosen
-
-
 def complement(inner: Subspace, outer: Subspace) -> Subspace:
     """Deterministic complement of ``inner`` inside ``outer``.
 
-    The echelon basis of ``inner`` is extended by rows of ``outer``'s
-    echelon basis, taken in order of their pivots, so the selection is
-    canonical for given inputs.
+    The echelon basis of ``inner`` is extended by the rows of ``outer``'s
+    echelon basis that raise the rank of the rows before them: the pivot
+    columns of the transposed stack.  The selection is canonical for given
+    inputs.
     """
     inner._check_compatible(outer)
     if not inner.is_subspace_of(outer):
         raise InputError("complement requires inner to be contained in outer")
     p, n = inner.p, inner.ambient_dim
     stacked = np.vstack([inner.basis, outer.basis])
-    picked = select_independent(stacked, p)
-    chosen = [stacked[i] for i in picked if i >= inner.dim]
-    comp = Subspace(p, n, np.array(chosen, dtype=np.int64).reshape(-1, n) if chosen else None)
+    _, pivots = rref(stacked.T, p)
+    comp = Subspace(p, n, stacked[[i for i in pivots if i >= inner.dim]])
     inter, total = intersect_and_sum(comp, inner)
     if inter.dim != 0 or total != outer:
         raise MathInternal("complement construction failed")  # pragma: no cover
     return comp
 
 
-def quotient_dim(inner: Subspace, outer: Subspace) -> int:
-    """dim(outer/inner); requires inner ⊆ outer."""
-    if not inner.is_subspace_of(outer):
-        raise InputError("quotient_dim requires inner to be contained in outer")
-    return outer.dim - inner.dim
-
-
-def solve(m: FpMatrix, b) -> tuple[np.ndarray, Subspace] | None:
-    """Solve m x = b over F_p.
-
-    Returns (particular solution, kernel of m), or None when the system is
-    inconsistent.
-    """
+def solve(m: FpMatrix, b) -> np.ndarray | None:
+    """A particular solution of m x = b over F_p, or None when the system
+    is inconsistent."""
     sols = solve_many(m, np.asarray(b, dtype=np.int64).reshape(-1, 1))
-    if sols is None:
-        return None
-    kern, _ = kernel_image(m)
-    return sols[:, 0], kern
+    return None if sols is None else sols[:, 0]
 
 
 def solve_many(m: FpMatrix, rhs) -> np.ndarray | None:

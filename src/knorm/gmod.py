@@ -31,7 +31,6 @@ __all__ = [
     "norm_operator",
     "decompose",
     "multiplicity_oracle",
-    "free_rank",
     "verify_exclusion",
 ]
 
@@ -191,11 +190,6 @@ def multiplicity_oracle(m: GModule) -> SummandProfile:
     ranks.append(0)
     mult = [ranks[i - 1] - 2 * ranks[i] + ranks[i + 1] for i in range(1, m.p + 1)]
     return SummandProfile(m.p, mult)
-
-
-def free_rank(m: GModule) -> int:
-    """Number of length-p (free) summands: the rank of (sigma-1)^{p-1}."""
-    return m.shift_power(m.p - 1).rank()
 
 
 def _fixed_filtration(m: GModule) -> list[Subspace]:

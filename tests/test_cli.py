@@ -9,6 +9,10 @@ from knorm import cli
 from knorm import milnor as M
 from knorm.fplin import FpMatrix
 
+TWO_STEP_SPEC = (
+    '{"p": 2, "steps": [{"kind": "eisenstein", "coeffs": [-2, 0]}, '
+    '{"kind": "unramified", "degree": 2}]}'
+)
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -229,6 +233,8 @@ def test_precision_override_up_to_the_maximum(capsys):
         ["field", "--spec", '{"p": 3, "steps": [{"kind": "unramified", "degree": 41}]}'],
         ["field", "--spec", '{"p": 2, "steps": [{"kind": "unramified", "degree": 9}, '
                             '{"kind": "unramified", "degree": 3}]}'],
+        ["invariants", "--spec", TWO_STEP_SPEC, "--a", "[[[1]]]"],
+        ["invariants", "--spec", TWO_STEP_SPEC, "--a", "[[1, 1, 1]]"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):

@@ -10,7 +10,6 @@ from knorm.gmod import (
     SummandProfile,
     decompose,
     fixed_points,
-    free_rank,
     length_of,
     multiplicity_oracle,
     norm_operator,
@@ -105,12 +104,6 @@ def test_multiplicity_oracle_examples():
     assert multiplicity_oracle(free2) == SummandProfile(2, [0, 2])
     assert multiplicity_oracle(GModule.trivial(3, 3)) == SummandProfile(3, [3, 0, 0])
     assert multiplicity_oracle(GModule.jordan_blocks(3, [2, 2])) == SummandProfile(3, [0, 2, 0])
-
-
-def test_free_rank_examples():
-    assert free_rank(GModule.trivial(2, 3)) == 0
-    assert free_rank(GModule.jordan_blocks(5, [5])) == 1
-    assert free_rank(GModule.jordan_blocks(3, [3, 2, 3])) == 2
 
 
 def test_decompose_trivial_module():

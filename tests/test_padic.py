@@ -62,6 +62,25 @@ def test_ramified_eisenstein_field():
     assert ((lam * lam) / f.element(3)).valuation() == 0
 
 
+def test_nested_digit_lists_on_a_two_step_tower():
+    """[[a, b], [c, d]] is a + b*s + (c + d*s)*u for s = sqrt 2 and the
+    unramified generator u; malformed digit lists are refused."""
+    f = LocalField(
+        2, [{"kind": "eisenstein", "coeffs": [-2, 0]}, {"kind": "unramified", "degree": 2}]
+    )
+    s, u = f.element([[0, 1]]), f.gen()
+    rng = random.Random(6)
+    for _ in range(20):
+        a, b, c, d = (rng.randrange(-50, 50) for _ in range(4))
+        x = f.element([[a, b], [c, d]])
+        assert len(x.data) == f.degree == 4
+        assert x == a + b * s + (c + d * s) * u
+    with pytest.raises(InputError):
+        f.element([[[1]]])
+    with pytest.raises(InputError):
+        f.element([[1, 1, 1]])
+
+
 def test_eisenstein_validation(q2):
     with pytest.raises(InputError):
         LocalField(2, [{"kind": "eisenstein", "coeffs": [4, 0]}])  # v(c0) = 2

@@ -23,12 +23,11 @@ _INF = float("inf")
 def matrix_valuation(field, x):
     """Exact valuation, _INF, or a float bound, from the multiplication matrix."""
     ctx = field.ctx
-    flat = field._flatten(x)
-    if all(c[1] == 0 for c in flat):
-        min_exp = min(c[0] for c in flat)
+    if all(c[1] == 0 for c in x):
+        min_exp = min(c[0] for c in x)
         return _INF if min_exp >= ZERO_EXP else float(field.e * min_exp)
     if field.degree == 1:
-        return flat[0][0]
+        return x[0][0]
     mat = field._mult_matrix(x)
     rows = list(range(field.degree))
     cols = list(range(field.degree))
@@ -63,7 +62,7 @@ def matrix_valuation(field, x):
 def scanned_residue(field, x):
     """The residue coordinates whose representative lies within pi of x."""
     for coords in itertools.product(range(field.p), repeat=field.f):
-        diff = field._add(field.level, x, field._neg(field.level, field._rep_raw(coords)))
+        diff = field._add(x, field._neg(field._rep_raw(coords)))
         v = matrix_valuation(field, diff)
         if v == _INF or v >= 1:
             return coords
@@ -98,7 +97,7 @@ def field(name):
 
 
 def plain(f, ints):
-    return f._unflatten([f.ctx.c_int(n) for n in ints])
+    return [f.ctx.c_int(n) for n in ints]
 
 
 @st.composite
@@ -113,7 +112,7 @@ def elements(draw, f):
         edge = f.e * f.ctx.M
         k = draw(st.one_of(st.integers(0, 3 * f.e), st.integers(edge - 3 * f.e, edge + f.e)))
         pik = f.pi_pow(k).data
-        x = f._add(f.level, f._add(f.level, a, f._mul(f.level, pik, x)), f._neg(f.level, a))
+        x = f._add(f._add(a, f._mul(f.level, pik, x)), f._neg(a))
     if draw(st.booleans()):
         x = f._mul(f.level, x, f.pi_pow(draw(st.integers(-2, 2))).data)
     return x
