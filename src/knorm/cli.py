@@ -94,7 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, a_flag=True, n_flag=True):
         p.add_argument("--spec", help="field spec: a JSON file path or inline JSON")
         p.add_argument("--preset", choices=sorted(FIELD_PRESETS), help="named field")
-        p.add_argument("--precision", type=int, help="working precision override")
+        p.add_argument(
+            "--precision",
+            type=int,
+            help="working precision in uniformizer digits; its margin over the "
+            "default applies to every derived field",
+        )
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if a_flag:
             p.add_argument(

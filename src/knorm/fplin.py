@@ -19,6 +19,8 @@ __all__ = [
     "FpMatrix",
     "Subspace",
     "rref",
+    "kernel",
+    "image",
     "kernel_image",
     "intersect_and_sum",
     "complement",
@@ -217,24 +219,32 @@ class Subspace:
         return f"Subspace(p={self.p}, dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def kernel_image(m: FpMatrix) -> tuple[Subspace, Subspace]:
-    """Null space and column space of a matrix; rank-nullity is asserted."""
-    p = m.p
-    a = m.entries
-    rows, cols = a.shape
-    red, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_set]
+def _kernel_of(m: FpMatrix, red: np.ndarray, pivots: list[int]) -> Subspace:
+    """Null space of a matrix from its reduced row-echelon form."""
+    p, cols = m.p, m.cols
+    free = sorted(set(range(cols)) - set(pivots))
     kvecs = np.zeros((len(free), cols), dtype=np.int64)
     for k, f in enumerate(free):
         kvecs[k, f] = 1
-        for row_idx, pc in enumerate(pivots):
-            kvecs[k, pc] = (-red[row_idx, f]) % p
-    kernel = Subspace(p, cols, kvecs)
-    image = Subspace(p, rows, a.T)
-    if kernel.dim + image.dim != cols:
-        raise MathInternal("rank-nullity violated")  # pragma: no cover
-    return kernel, image
+        kvecs[k, pivots] = (-red[:, f]) % p
+    return Subspace(p, cols, kvecs)
+
+
+def kernel(m: FpMatrix) -> Subspace:
+    """Null space of a matrix."""
+    return _kernel_of(m, *rref(m.entries, m.p))
+
+
+def image(m: FpMatrix) -> Subspace:
+    """Column space of a matrix."""
+    return Subspace(m.p, m.rows, m.entries.T)
+
+
+def kernel_image(m: FpMatrix) -> tuple[Subspace, Subspace]:
+    """Null space and column space of a matrix whose both are read, from
+    one echelon form: the pivot columns of m span its image."""
+    red, pivots = rref(m.entries, m.p)
+    return _kernel_of(m, red, pivots), Subspace(m.p, m.rows, m.entries[:, pivots].T)
 
 
 def intersect_and_sum(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
@@ -247,7 +257,7 @@ def intersect_and_sum(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     else:
         # Solutions (u, v) of u*A = v*B give intersection vectors u*A.
         stacked = np.vstack([a.basis, (-b.basis) % p]).T  # n x (da+db)
-        kern, _ = kernel_image(FpMatrix(p, stacked))
+        kern = kernel(FpMatrix(p, stacked))
         inter_vecs = (kern.basis[:, : a.dim] @ a.basis) % p
         inter = Subspace(p, n, inter_vecs)
     if inter.dim + total.dim != a.dim + b.dim:

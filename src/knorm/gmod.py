@@ -16,8 +16,9 @@ from .fplin import (
     FpMatrix,
     Subspace,
     complement,
+    image,
     intersect_and_sum,
-    kernel_image,
+    kernel,
     solve_many,
 )
 
@@ -148,14 +149,12 @@ class Decomposition:
 
 def fixed_points(m: GModule) -> Subspace:
     """M^G, the kernel of sigma - 1."""
-    kern, _ = kernel_image(m.shift_power(1))
-    return kern
+    return kernel(m.shift_power(1))
 
 
 def omega_image(m: GModule, i: int) -> Subspace:
     """Image of (sigma - 1)^i; the whole space for i = 0, zero for i = p."""
-    _, img = kernel_image(m.shift_power(i))
-    return img
+    return image(m.shift_power(i))
 
 
 def length_of(m: GModule, v) -> int:

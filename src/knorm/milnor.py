@@ -25,7 +25,7 @@ import random
 import numpy as np
 
 from .errors import InputError, MathCheckError
-from .fplin import FpMatrix, Subspace, kernel_image
+from .fplin import FpMatrix, Subspace, image, kernel
 from .gmod import GModule, norm_operator
 from .padic import KummerExtension, LocalField, PadicElement
 
@@ -153,10 +153,10 @@ class KMap:
         return KClass(self.target, self.matrix.apply(cls.coords))
 
     def image(self) -> Subspace:
-        return kernel_image(self.matrix)[1]
+        return image(self.matrix)
 
     def kernel(self) -> Subspace:
-        return kernel_image(self.matrix)[0]
+        return kernel(self.matrix)
 
     def image_of(self, sub: Subspace) -> Subspace:
         if sub.ambient_dim != self.source.dim:
@@ -449,7 +449,7 @@ def cup_with(field: LocalField, a, n: int) -> KMap:
     if n == 1:
         return KMap(src, dst, a_cls.coords.reshape(-1, 1))
     if n == 2:
-        normal = kernel_image(FpMatrix(p, ann_cup(field, a_cls, 2).basis))[0].basis
+        normal = kernel(FpMatrix(p, ann_cup(field, a_cls, 2).basis)).basis
         return KMap(src, dst, normal if len(normal) else FpMatrix.zero(p, 1, src.dim))
     return KMap(src, dst, FpMatrix.zero(p, dst.dim, src.dim))
 
@@ -543,7 +543,7 @@ def verify_hilbert90(ext: KummerExtension, n: int) -> H90Report:
     module = sigma_map(ext, n)
     nmap = norm_map(ext, n)
     rmap = restriction_map(ext, n)
-    _, shift_image = kernel_image(module.shift_power(1))
+    shift_image = image(module.shift_power(1))
     norm_kernel = nmap.kernel()
     inclusion = shift_image.is_subspace_of(norm_kernel)
     composite = (rmap @ nmap).matrix

@@ -2,68 +2,62 @@
 
 Representation
 --------------
-An element of a tower field of degree n over Q_p is one flat list of n
-coefficients.  If the top step has degree d over a field of degree s,
-block i of the list, the slice [i*s, (i+1)*s), holds the coefficient of
-the i-th power of the adjoined generator, laid out the same way one
-level down; over Q_p the list has a single entry.  Nested digit lists
-are accepted as input only.  A coefficient is an interval-style p-adic
-float ``(exp, mant, rel)``:
+An element of a tower field of degree n over Q_p is a triple (v, N, c):
+a shift v, an absolute precision N and one flat list c of n non-negative
+Python ints, its coordinates over the monomials b_i of the tower.  If
+the top step has degree d over a field of degree s, block i of c, the
+slice [i*s, (i+1)*s), holds the coefficient of the i-th power of the
+adjoined generator, laid out the same way one level down.  Both v and N
+count against the ring of integers O: the element lies in p^v O and is
+known modulo p^N O.  With k the field's ``index``, the least k with p^k O
+inside the lattice L of the b_i (0 for fields built from a spec), the
+value is p^(v-k) * sum c_i * b_i and the ints are reduced modulo
+p^(N-v+k).  Ints that all vanish give v == N; v == N == inf is an exact
+zero.  Inputs carry ``cap`` p-adic digits of relative precision.
 
-* ``mant != 0``: the value is mant * p^exp, trusted modulo p^(exp+rel),
-  with mant a unit in [1, p^rel);
-* ``mant == 0``: the value is congruent to 0 modulo p^exp, and
-  ``exp == ZERO_EXP`` marks an exact zero.
+Every step polynomial is monic with exact ints of the lattice below, so L
+is a ring.  Precision follows the capped-absolute model of Caruso, Roe
+and Vaccon ("Tracking p-adic precision", LMS J. Comput. Math. 17A, 2014):
+a sum is known to min(N_x, N_y) and a product to min(N_x + v_y, N_y +
+v_x).  Shifts rise whenever the ints prove more, and inverses, powers of
+pi and the integral basis carry the shift their valuation proves, so a
+unit keeps shift 0 even where L is smaller than O.  A product is one
+integer product of the operands packed by Kronecker substitution
+(Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", JSC 44, 2009) at the slots of the unreduced product,
+reduced by the step polynomials from the bottom level up, modulo
+p^(N-v+2k) once, then divided by p^k; operands with few live top-step
+blocks multiply block by block instead.  An inverse solves x * y = 1 on
+the ints by integer elimination.
 
-Relative precision survives multiplication and inversion unchanged;
-additive cancellation shrinks it honestly.  Decision procedures check
-the wild bound they need and raise PrecisionError instead of guessing,
-and an element whose retained digits are all zero without being an
-exact zero refuses to answer zero-ness questions.
-
+Decision procedures raise PrecisionError instead of guessing.
 Valuations and residues are read off coordinates over the integral basis
 {r_j * pi^i : i < e, j < f} built from the stored uniformizer pi and
-residue-basis lifts r_j (Serre, *Local Fields*, Ch. I, Sec. 6, Prop. 18).
-Each field caches T = B^-1, B the matrix of that basis, so this works
-uniformly for every tower shape, including adjoined p-th-root steps
-whose rings of integers exceed the monomial lattice.  With c = T * x,
-v(x) = min(e * v_p(c_ij) + i): weights of distinct i differ mod e, so
-only the minimum of one i-block can tie.  The valuation is returned only
-when no coordinate whose digits were lost could weigh less than it, and
-the residue of an integral x is (c_0j mod p).
-
-A product is the convolution of the operands' top-step blocks followed
-by the reduction of its top slots, from the highest down, by the step
-polynomial.  Exact zeros are never touched: an exact-zero block of
-either operand, an exact-zero step coefficient and an empty convolution
-slot are all skipped.  That is exact, tuple for tuple: c_mul(x, 0) is an
-exact zero, c_add(x, 0) == x, and c_add is canonical in (value mod
-p^absprec, absprec), so the order of the remaining sums is free.  The
-reduction multiplies by the negated step coefficients, cached per field
-and level, since c_mul(a, -b) == -c_mul(a, b).  Products are never
-reassociated (no Karatsuba, no distributed reduction): interval
-precision is not distributive, and after cancellation (a + b) * c keeps
-more digits than a * c + b * c, so a regrouped product would move the
-precisions that PrecisionError decisions read (Caruso, Roe and Vaccon,
-"Tracking p-adic precision", LMS J. Comput. Math. 17A, 2014).
+residue-basis lifts r_j (Serre, *Local Fields*, Ch. I, Sec. 6, Prop. 18),
+through a cached T = B^-1, B the matrix of that basis; this works for
+every tower shape, including p-th-root steps whose rings of integers
+exceed L.  With t = T * x, known modulo p^N like x, v(x) = min(e *
+v_p(t_ij) + i): weights of distinct i differ mod e, so only one i-block
+can tie.  The valuation is returned only when no coordinate whose digits
+were lost could weigh less, x is zero to its precision when every t_ij
+vanishes modulo p^N (its ints need not, when k > 0), and the residue of
+an integral x is (t_0j mod p).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
+import operator
 
 import numpy as np
 
 from .errors import InputError, MathCheckError, PrecisionError
-from .fplin import FpMatrix, Subspace, is_prime, kernel_image, solve as fp_solve
+from .fplin import FpMatrix, Subspace, image, is_prime, kernel, solve as fp_solve
 
 __all__ = ["LocalField", "PadicElement", "KummerExtension", "default_precision"]
 
-ZERO_EXP = 10**9
 _INF = float("inf")
-
-CZERO = (ZERO_EXP, 0, 0)
 
 
 # Work bounds, checked before the work: precision up to 8 times the
@@ -79,12 +73,6 @@ def default_precision(p: int, e: int) -> int:
     return 4 * w + 10
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _bezout(a: int, b: int) -> tuple[int, int]:
     """(s, t) with s*a + t*b = 1 and 0 < s < b, for coprime a, b."""
     s = pow(a, -1, b)
@@ -92,95 +80,44 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return s, t
 
 
-class _Ctx:
-    """Coefficient context: the prime, mantissa width cap, power table."""
+def _vp(n: int, p: int) -> int:
+    """v_p of a nonzero int."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
 
-    __slots__ = ("p", "M", "_pows")
 
-    def __init__(self, p: int, M: int) -> None:
-        self.p = p
-        self.M = M
-        self._pows = [p**i for i in range(M + 2)]
+def _pack(ints, slots, width: int, size: int) -> int:
+    """The ints (non-negative, below 256^width) placed at the given slots
+    of a little-endian integer of size slots of width bytes each."""
+    buf = bytearray(size * width)
+    for c, k in zip(ints, slots):
+        if c:
+            buf[k * width : (k + 1) * width] = c.to_bytes(width, "little")
+    return int.from_bytes(buf, "little")
 
-    def ppow(self, k: int) -> int:
-        if 0 <= k < len(self._pows):
-            return self._pows[k]
-        return self.p**k
 
-    def c_int(self, n: int):
-        if n == 0:
-            return CZERO
-        v = 0
-        while n % self.p == 0:
-            n //= self.p
-            v += 1
-        return (v, n % self.ppow(self.M), self.M)
-
-    def c_neg(self, a):
-        e, m, r = a
-        if m == 0:
-            return a
-        return (e, self.ppow(r) - m, r)
-
-    def c_add(self, a, b):
-        ea, ma, ra = a
-        eb, mb, rb = b
-        if ma == 0 and mb == 0:
-            return (min(ea, eb), 0, 0)
-        if mb == 0:
-            a, b = b, a
-            ea, ma, ra, eb, mb, rb = eb, mb, rb, ea, ma, ra
-        if ma == 0:
-            # zero known mod p^ea plus a definite value mant_b * p^eb
-            if eb >= ea:
-                return (ea, 0, 0)
-            rel = min(rb, ea - eb)
-            return (eb, mb % self.ppow(rel), rel)
-        e = min(ea, eb)
-        absp = min(ea + ra, eb + rb)
-        width = absp - e
-        if width <= 0:
-            return (absp, 0, 0)
-        s = (ma * self.ppow(ea - e) + mb * self.ppow(eb - e)) % self.ppow(width)
-        if s == 0:
-            return (absp, 0, 0)
-        v = 0
-        while s % self.p == 0:
-            s //= self.p
-            v += 1
-        return (e + v, s, width - v)
-
-    def c_mul(self, a, b):
-        ea, ma, ra = a
-        eb, mb, rb = b
-        if ma == 0 or mb == 0:
-            if (ma == 0 and ea >= ZERO_EXP) or (mb == 0 and eb >= ZERO_EXP):
-                return CZERO
-            return (min(ea + eb, ZERO_EXP), 0, 0)
-        rel = min(ra, rb)
-        return (ea + eb, (ma * mb) % self.ppow(rel), rel)
-
-    def c_inv(self, a):
-        e, m, r = a
-        if m == 0:
-            raise PrecisionError("inverting a value indistinguishable from zero")
-        return (-e, pow(m, -1, self.ppow(r)), r)
+def _unpack(z: int, width: int, size: int) -> list[int]:
+    buf = z.to_bytes(size * width, "little")
+    return [int.from_bytes(buf[k : k + width], "little") for k in range(0, size * width, width)]
 
 
 class _Step:
     """One quotient-ring step of a tower.
 
-    ``coeffs`` are the low coefficients c_0..c_{d-1} of the monic step
-    polynomial, as data of the level below, of s entries each.  ``poly``
-    holds them in one flat list of d*s entries, c_j at [j*s, (j+1)*s).
+    ``poly`` holds the low coefficients c_0..c_{d-1} of the monic step
+    polynomial as exact ints of the monomial lattice of the level below,
+    in one flat list of d*s entries, c_j at [j*s, (j+1)*s).
     """
 
     __slots__ = ("kind", "degree", "poly", "info")
 
-    def __init__(self, kind: str, degree: int, coeffs, info=None) -> None:
+    def __init__(self, kind: str, degree: int, poly: list[int], info=None) -> None:
         self.kind = kind
         self.degree = degree
-        self.poly = [c for coeff in coeffs for c in coeff]
+        self.poly = poly
         self.info = info or {}
 
 
@@ -229,7 +166,7 @@ class PadicElement:
         if o is NotImplemented:
             return o
         f = self.field
-        return PadicElement(f, f._mul(f.level, self.data, o.data))
+        return PadicElement(f, f._mul(self.data, o.data))
 
     __rmul__ = __mul__
 
@@ -337,7 +274,7 @@ class LocalField:
         obj.f = 1
         obj._parent = None
         obj._setup(precision)
-        obj._pi = [obj.ctx.c_int(p)]
+        obj._pi = obj._int_raw(p)
         obj._residue_basis = [obj._one_raw()]
         return obj
 
@@ -352,15 +289,15 @@ class LocalField:
             raise InputError(f"precision {self.prec} below the policy minimum {policy_min}")
         if self.prec > policy_max:
             raise InputError(f"precision {self.prec} above the policy maximum {policy_max}")
-        M = max(-(-self.prec // self.e), self.wild) + 16
-        self.ctx = _Ctx(p, M)
+        self.cap = max(-(-self.prec // self.e), self.wild) + 16
+        self.index = 0
         self.level = len(self.steps)
         self._caches: dict = {}
 
     def _copy_from(self, other: "LocalField") -> None:
         for name in (
             "p", "steps", "degree", "e", "f", "_parent", "q", "wild", "prec",
-            "ctx", "level", "_caches", "_pi", "_residue_basis",
+            "cap", "index", "level", "_caches", "_pi", "_residue_basis",
         ):
             setattr(self, name, getattr(other, name))
 
@@ -400,15 +337,14 @@ class LocalField:
         raise InputError(f"unknown step kind {kind!r}")
 
     def _with_unramified(self, deg: int, precision: int | None = None) -> "LocalField":
-        poly = self._unramified_poly(deg)
-        step = _Step("unramified", deg, poly)
+        step = _Step("unramified", deg, self._step_ints(self._unramified_poly(deg)))
         child = self._extended(step, self.e, self.f * deg, precision)
         gen = child._gen_raw()
         basis = []
         for j in range(deg):
             gj = child._pow_raw(gen, j)
             for b in self._residue_basis:
-                basis.append(child._mul(child.level, child._lift_raw(b), gj))
+                basis.append(child._mul(child._lift_raw(b), gj))
         child._residue_basis = basis
         child._pi = child._lift_raw(self._pi)
         return child
@@ -422,7 +358,7 @@ class LocalField:
             v = self._val_or_bound(c)
             if isinstance(v, int) and v < 1:
                 raise InputError("middle Eisenstein coefficients must have positive valuation")
-        step = _Step("eisenstein", deg, coeffs)
+        step = _Step("eisenstein", deg, self._step_ints(coeffs))
         child = self._extended(step, self.e * deg, self.f, precision)
         child._residue_basis = [child._lift_raw(b) for b in self._residue_basis]
         child._pi = child._gen_raw()
@@ -448,7 +384,7 @@ class LocalField:
     def _unramified_poly(self, deg: int):
         """Low coefficients of a monic polynomial of the given degree that is
         irreducible over the residue field."""
-        if _gcd(deg, self.f) == 1:
+        if math.gcd(deg, self.f) == 1:
             low = _fp_irreducible(self.p, deg)
             if low is None:  # pragma: no cover
                 raise MathCheckError("no irreducible polynomial found")
@@ -472,8 +408,8 @@ class LocalField:
             acc = self._zero_raw()
             power = self._one_raw()
             for c in coeffs:
-                acc = self._add(acc, self._mul(self.level, c, power))
-                power = self._mul(self.level, power, rep)
+                acc = self._add(acc, self._mul(c, power))
+                power = self._mul(power, rep)
             acc = self._add(acc, power)  # monic leading term
             v = self._val_or_bound(acc)
             if v == _INF or v >= 1:
@@ -482,82 +418,226 @@ class LocalField:
 
     # -- raw data helpers ----------------------------------------------------
 
+    def _data(self, v, N, ints):
+        """(v, N, ints) with the ints reduced modulo p^(N-v+k) and v raised
+        by their common p-power beyond the index k; ints that all vanish
+        give v == N."""
+        if N <= v:
+            return (N, N, [0] * len(ints))
+        p, k = self.p, self.index
+        mod = p ** (N - v + k)
+        ints = [a % mod for a in ints]
+        g = math.gcd(*ints)
+        if g == 0:
+            return (N, N, ints)
+        if g % p ** (k + 1) == 0:
+            rise = _vp(g, p) - k
+            ints, v = [a // p**rise for a in ints], v + rise
+        return (v, N, ints)
+
+    def _tighten(self, x, w: int):
+        """x with its shift raised to w, a valuation it is proven to have."""
+        v, N, ints = x
+        if w <= v:
+            return x
+        pk = self.p ** (min(w, N) - v)
+        if any(a % pk for a in ints):
+            raise MathCheckError("element below its proven valuation")
+        return self._data(w, N, [a // pk for a in ints])
+
     def _zero_raw(self):
-        return [CZERO] * self.degree
+        return (_INF, _INF, [0] * self.degree)
+
+    def _from_ints(self, ints):
+        """Data of exact monomial ints, with cap digits of relative precision;
+        ints that are all zero give an exact zero."""
+        g = math.gcd(*ints)
+        if g == 0:
+            return self._zero_raw()
+        v = _vp(g, self.p)
+        up, down = self.p**self.index, self.p**v
+        return self._data(v, v + self.cap, [a * up // down for a in ints])
 
     def _int_raw(self, n: int):
-        return [self.ctx.c_int(n)] + [CZERO] * (self.degree - 1)
+        return self._from_ints([n] + [0] * (self.degree - 1))
 
     def _one_raw(self):
         return self._int_raw(1)
 
     def _lift_raw(self, parent_data):
-        """View a parent-field element in this field (one level up)."""
-        return parent_data + [CZERO] * (self.degree - len(parent_data))
+        """View a parent-field element in this field (one level up).  While
+        a Kummer top is under construction its index is 0 and its precision
+        is over the monomials, so a parent's index is paid then."""
+        v, N, ints = parent_data
+        d, pad = self.index - self._parent.index, [0] * (self.degree - len(ints))
+        if d >= 0:
+            return (v, N, [a * self.p**d for a in ints] + pad)
+        return (v + d, N + d, ints + pad)
 
     def _gen_raw(self):
         """The generator adjoined by the top step."""
-        out = self._zero_raw()
-        out[self.degree // self.steps[-1].degree] = self.ctx.c_int(1)
+        ints = [0] * self.degree
+        ints[self.degree // self.steps[-1].degree] = 1
+        return self._from_ints(ints)
+
+    def _join(self, blocks):
+        """Data of a settled top from the parent data of its blocks."""
+        live = [b for b in blocks if b[1] != _INF]
+        if not live:
+            return self._zero_raw()
+        v, N, d = min(b[0] for b in live), min(b[1] for b in live), self.index - self._parent.index
+        ints = []
+        for bv, _, b in blocks:
+            scale = self.p ** (bv - v + d) if bv < N else 0
+            ints += [a * scale for a in b]
+        return self._data(v, N, ints)
+
+    def _block(self, x, i: int):
+        """Block i of x as parent data: its monomial ints carry the shift
+        v - k, and its precision drops by the index k."""
+        base, k, (v, N, ints) = self._parent, self.index, x
+        s, scale = base.degree, self.p**base.index
+        return base._data(v - k, N - k, [a * scale for a in ints[i * s : (i + 1) * s]])
+
+    def _step_ints(self, coeffs) -> list[int]:
+        """Step-polynomial coefficients (data of this field) as exact
+        monomial ints: the balanced representatives of their data."""
+        p, pk, out = self.p, self.p**self.index, []
+        for v, N, ints in coeffs:
+            if v >= N:
+                out += [0] * len(ints)
+                continue
+            mod = p ** (N - v + self.index)
+            lattice = [(a - mod if 2 * a > mod else a) * p ** max(v, 0) for a in ints]
+            if v < 0 or any(a % pk for a in lattice):
+                raise MathCheckError("step coefficient outside the monomial lattice")
+            out += [a // pk for a in lattice]
         return out
+
+    def _lattice_shift(self, x) -> int:
+        """The least valuation of the monomial coordinates of x."""
+        v, _, ints = x
+        return v - self.index + _vp(math.gcd(*ints), self.p)
 
     # -- tower arithmetic ------------------------------------------------------
 
     def _add(self, x, y):
-        return list(map(self.ctx.c_add, x, y))
+        if x[0] > y[0]:
+            x, y = y, x
+        (vx, Nx, X), (vy, Ny, Y) = x, y
+        N = min(Nx, Ny)
+        if vx >= N:  # both vanish below N
+            return x if N == _INF else (N, N, [0] * self.degree)
+        scale = self.p ** (vy - vx) if vy < N else 0
+        return self._data(vx, N, [a + b * scale for a, b in zip(X, Y)])
 
     def _neg(self, x):
-        return list(map(self.ctx.c_neg, x))
-
-    @staticmethod
-    def _all_mant_zero(x) -> bool:
-        return all(c[1] == 0 for c in x)
+        v, N, X = x
+        if v >= N:
+            return x
+        mod = self.p ** (N - v + self.index)
+        return (v, N, [-a % mod for a in X])
 
     def _ring(self, level: int):
-        """(degree d, block size s, zero block, live negated step coefficients)
-        of a level; at level 1 (s = 1) the blocks are single coefficients."""
+        """(d, s, live, slots, size) of a level: its step degree d and block
+        size s, the live negated step coefficients (ints at level 1, int
+        lists above), and the slot of each monomial in the unreduced
+        product of the level, where every step's degree may reach 2d - 2,
+        with the number of slots."""
         ring = self._caches.get(("ring", level))
         if ring is None:
             step = self.steps[level - 1]
-            d, poly = step.degree, step.poly
-            s = len(poly) // d
-            if s == 1:
-                blocks, zero, neg = poly, CZERO, self.ctx.c_neg
-            else:
-                blocks = [poly[j * s : (j + 1) * s] for j in range(d)]
-                zero, neg = [CZERO] * s, self._neg
-            live = [(j, neg(c)) for j, c in enumerate(blocks) if c != zero]
-            ring = self._caches[("ring", level)] = (d, s, zero, live)
+            d = step.degree
+            s = len(step.poly) // d
+            blocks = [[-c for c in step.poly[j * s : (j + 1) * s]] for j in range(d)]
+            live = [(j, b[0] if s == 1 else b) for j, b in enumerate(blocks) if any(b)]
+            slots, size = ([0], 1) if level == 1 else self._ring(level - 1)[3:]
+            slots = [i * size + j for i in range(d) for j in slots]
+            ring = self._caches[("ring", level)] = (d, s, live, slots, size * (2 * d - 1))
         return ring
 
-    def _mul(self, level: int, x, y):
-        """Product at a level: convolution of the top-step blocks, then
-        reduction by the step polynomial from the top slot down; exact zeros
-        are never touched."""
+    def _mul(self, x, y):
+        """Product, known to min(N_x + v_y, N_y + v_x): one integer product
+        of the monomial ints, divided by p^k for the index k, which divides
+        it exactly since x * y lies in p^(v_x + v_y) O."""
+        vx, Nx, X = x
+        vy, Ny, Y = y
+        if Nx == _INF or Ny == _INF:
+            return self._zero_raw()
+        v, N, k = vx + vy, min(Nx + vy, Ny + vx), self.index
+        if N <= v:
+            return (N, N, [0] * self.degree)
+        mod, pk = self.p ** (N - v + 2 * k), self.p**k
+        Z = self._ints_mul(self.level, [a % mod for a in X], [a % mod for a in Y], mod)
+        if k:
+            if any(a % pk for a in Z):
+                raise MathCheckError("a product left the lattice of its ring of integers")
+            Z = [a // pk for a in Z]
+        return self._data(v, N, Z)
+
+    def _ints_mul(self, level: int, X, Y, mod: int) -> list[int]:
+        """Monomial ints of X * Y at a level, modulo mod, for ints in
+        [0, mod).  Operands with few live top-step blocks multiply block by
+        block; denser ones are packed at their slots of the unreduced
+        product, multiplied once and unpacked."""
         if level == 0:
-            return [self.ctx.c_mul(x[0], y[0])]
-        d, s, zero, neg_poly = self._ring(level)
+            return [X[0] * Y[0] % mod]
+        d, s, _, slots, size = self._ring(level)
         if s == 1:
-            mul, add = self.ctx.c_mul, self.ctx.c_add
-        else:  # bound per call: a cached partial would tie the field into a cycle
-            mul, add = functools.partial(self._mul, level - 1), self._add
-            x = [x[i : i + s] for i in range(0, d * s, s)]
-            y = [y[i : i + s] for i in range(0, d * s, s)]
-        live_y = [(j, b) for j, b in enumerate(y) if b != zero]
-        conv = [None] * (2 * d - 1)  # None: an exact zero not yet allocated
-        for i, a in enumerate(x):
-            if a != zero:
-                for j, b in live_y:
-                    t, u = mul(a, b), conv[i + j]
-                    conv[i + j] = t if u is None else add(u, t)
+            conv = [0] * (2 * d - 1)
+            ys = [(j, b) for j, b in enumerate(Y) if b]
+            for i, a in enumerate(X):
+                if a:
+                    for j, b in ys:
+                        conv[i + j] += a * b
+            return self._reduce_top(1, conv, mod)
+        xs = [(i, X[i * s : (i + 1) * s]) for i in range(d) if any(X[i * s : (i + 1) * s])]
+        ys = [(j, Y[j * s : (j + 1) * s]) for j in range(d) if any(Y[j * s : (j + 1) * s])]
+        if len(xs) * len(ys) > 3 * d:
+            width = (2 * mod.bit_length() + len(X).bit_length()) // 8 + 1
+            wide = _pack(X, slots, width, size) * _pack(Y, slots, width, size)
+            return self._reduce(level, _unpack(wide, width, size), mod)
+        conv = [None] * (2 * d - 1)
+        for i, a in xs:
+            for j, b in ys:
+                t, u = self._ints_mul(level - 1, a, b, mod), conv[i + j]
+                conv[i + j] = t if u is None else [g + h for g, h in zip(u, t)]
+        return self._reduce_top(level, conv, mod)
+
+    def _reduce(self, level: int, wide: list[int], mod: int) -> list[int]:
+        """Reduce the slots of an unreduced level product: each top-step
+        block at the levels below, then the top step."""
+        if level == 1:
+            return self._reduce_top(1, wide, mod)
+        d, sub = self._ring(level)[0], self._ring(level - 1)[4]
+        blocks = [self._reduce(level - 1, wide[i * sub : (i + 1) * sub], mod)
+                  for i in range(2 * d - 1)]
+        return self._reduce_top(level, blocks, mod)
+
+    def _reduce_top(self, level: int, conv: list, mod: int) -> list[int]:
+        """Reduce the 2d - 1 top-step blocks of a product (ints at level 1,
+        int lists above, None for zero) by the step polynomial, from the
+        highest block down, skipping zeros; the result modulo mod."""
+        d, s, live = self._ring(level)[:3]
+        if level == 1:
+            for i in range(2 * d - 2, d - 1, -1):
+                h = conv[i]
+                if h:
+                    for j, c in live:
+                        conv[i - d + j] += h * c
+            return [c % mod for c in conv[:d]]
+        live = self._caches.get(("ring", level, mod))
+        if live is None:
+            live = [(j, [a % mod for a in c]) for j, c in self._ring(level)[2]]
+            self._caches[("ring", level, mod)] = live
         for i in range(2 * d - 2, d - 1, -1):
-            if conv[i] is not None:
-                for j, c in neg_poly:
-                    t, u = mul(conv[i], c), conv[i - d + j]
-                    conv[i - d + j] = t if u is None else add(u, t)
-        if s == 1:
-            return [zero if u is None else u for u in conv[:d]]
-        return [c for u in conv[:d] for c in (zero if u is None else u)]
+            h = conv[i]
+            if h is not None and any(h):
+                h = [c % mod for c in h]
+                for j, c in live:
+                    t, u = self._ints_mul(level - 1, h, c, mod), conv[i - d + j]
+                    conv[i - d + j] = t if u is None else [a + b for a, b in zip(u, t)]
+        return [c % mod for u in conv[:d] for c in ([0] * s if u is None else u)]
 
     def _pow_raw(self, x, k: int):
         if k < 0:
@@ -566,111 +646,162 @@ class LocalField:
         base = x
         while k:
             if k & 1:
-                out = self._mul(self.level, out, base)
-            base = self._mul(self.level, base, base)
+                out = self._mul(out, base)
+            base = self._mul(base, base)
             k >>= 1
         return out
 
-    # -- linear algebra on coefficient vectors ---------------------------------------
+    # -- linear algebra on monomial ints ---------------------------------------------
 
-    def _mult_matrix(self, x):
-        """The matrix of y -> x * y; column j is x times the j-th unit vector."""
-        n, cols = self.degree, []
-        for j in range(n):
-            unit = self._zero_raw()
-            unit[j] = self.ctx.c_int(1)
-            cols.append(self._mul(self.level, x, unit))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+    def _mult_matrix(self, x, prec: int):
+        """Integer rows of y -> x * y over the monomials, scaled by
+        p^(k - v_x) for the index k, modulo p^prec."""
+        n, mod = self.degree, self.p**prec
+        X = [a % mod for a in x[2]]
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        cols = [self._ints_mul(self.level, X, unit, mod) for unit in units]
+        return [list(row) for row in zip(*cols)]
 
-    def _eliminate(self, mat, rhs):
-        """Solve mat * X = rhs by Gauss-Jordan elimination, pivoting on the
-        entry of least exponent; mat is n x n and rhs n x k, both consumed.
-        Returns the n rows of X."""
-        c_add, c_mul, c_neg = self.ctx.c_add, self.ctx.c_mul, self.ctx.c_neg
-        n = len(mat)
-        rows_left = list(range(n))
-        cols_left = list(range(n))
-        sol = [None] * n
+    def _solve(self, mat, rhs, prec: int):
+        """Solve mat * X = rhs over Z_p, for n x n integer rows known modulo
+        p^prec and n x k rhs rows, by elimination with full pivoting on the
+        least valuation.  Returns (D, P, X): the solution is p^-D * X with
+        the ints of X known modulo p^P.  Each pivot of valuation k costs k
+        digits, and the back substitution D more, D the sum of them."""
+        p, n = self.p, len(mat)
+        rows = [m + r for m, r in zip(mat, rhs)]
+        free_rows, free_cols, pivots = list(range(n)), list(range(n)), []
         for _ in range(n):
-            best = None
-            for i in rows_left:
-                for j in cols_left:
-                    c = mat[i][j]
-                    if c[1] != 0 and (best is None or c[0] < best[2]):
-                        best = (i, j, c[0])
-            if best is None:
+            pivot = next(((0, i, j) for i in free_rows for j in free_cols if rows[i][j] % p), None)
+            if pivot is None:  # no unit left: the least valuation, if any entry survives
+                cells = ((_vp(a, p), i, j)
+                         for i in free_rows for j in free_cols if (a := rows[i][j]))
+                pivot = min(cells, default=(prec, 0, 0))
+            k, bi, bj = pivot
+            if k >= prec:
                 raise PrecisionError("elimination failed: matrix lost precision")
-            bi, bj, _ = best
-            inv = self.ctx.c_inv(mat[bi][bj])
-            prow = mat[bi] = [c_mul(c, inv) for c in mat[bi]]
-            prhs = rhs[bi] = [c_mul(c, inv) for c in rhs[bi]]
-            for i in range(n):
-                if i == bi:
-                    continue
-                factor = mat[i][bj]
-                if factor[1] == 0 and factor[0] >= ZERO_EXP:
-                    continue
-                nf = c_neg(factor)
-                mat[i] = [c_add(a, c_mul(nf, b)) for a, b in zip(mat[i], prow)]
-                rhs[i] = [c_add(a, c_mul(nf, b)) for a, b in zip(rhs[i], prhs)]
-                mat[i][bj] = CZERO
-            sol[bj] = bi
-            rows_left.remove(bi)
-            cols_left.remove(bj)
-        return [rhs[bi] for bi in sol]
+            prec -= k
+            mod, pk = p**prec, p**k
+            uinv = pow(rows[bi][bj] // pk, -1, mod)
+            prow = rows[bi] = [c * uinv % mod for c in rows[bi]]
+            free_rows.remove(bi)
+            free_cols.remove(bj)
+            for i in free_rows:
+                m = rows[i][bj] // pk
+                if m:
+                    rows[i] = [(c - m * b) % mod for c, b in zip(rows[i], prow)]
+            pivots.append((bi, bj, k))
+        D = sum(k for _, _, k in pivots)
+        if prec <= D:
+            raise PrecisionError("elimination failed: matrix lost precision")
+        sol = [None] * n
+        for t in range(n - 1, -1, -1):
+            bi, bj, k = pivots[t]
+            acc = [c * p**D for c in rows[bi][n:]]
+            for _, j, _ in pivots[t + 1 :]:
+                if rows[bi][j]:
+                    acc = [c - rows[bi][j] * a for c, a in zip(acc, sol[j])]
+            sol[bj] = [c % p**prec // p**k for c in acc]
+        return D, prec - D, sol
 
     def _inv(self, x):
-        if self._all_mant_zero(x):
+        """1/x: the inverse of x's stored ints, solved as exact at enough
+        digits.  With w = -ceil(v(x) / e), 1/x lies in p^w O, and for
+        x' = x + O(p^N_x), 1/x' - 1/x = -(x' - x) / (x x') lies in
+        p^(N_x + 2w) O once N_x + w >= 1."""
+        v, N, _ = x
+        val = self._val_or_bound(x)
+        if not isinstance(val, int):
             raise PrecisionError("inverting an element indistinguishable from zero")
-        if self.degree == 1:
-            return [self.ctx.c_inv(x[0])]
-        rhs = [[CZERO] for _ in range(self.degree)]
-        rhs[0] = [(0, 1, self.ctx.M)]
-        sol = self._eliminate(self._mult_matrix(x), rhs)
-        return [row[0] for row in sol]
+        p, n, k, w = self.p, self.degree, self.index, -val // self.e
+        if N + w < 1:
+            raise PrecisionError("inverse undetermined at working precision")
+        # the matrix of the ints has determinant valuation D, so solving it
+        # at `work` digits gives the monomial ints of 1/x as p^(k - v - D)
+        # * sol, sol known modulo p^(work - 2D)
+        D = self.f * val - n * (v - k)
+        work = max(N + 2 * w + v - k + 3 * D, 2 * D + 1)
+        rhs = [[int(i == 0)] for i in range(n)]
+        D, _, sol = self._solve(self._mult_matrix(x, work), rhs, work)
+        e = 2 * k - v - D - w  # from sol to the ints of 1/x at shift w
+        ints = [row[0] * p ** max(e, 0) // p ** max(-e, 0) for row in sol]
+        return self._data(w, N + 2 * w, ints)
 
     # -- coordinates over the integral basis {r_j * pi^i} ----------------------------
 
-    def _basis_coords(self, x):
-        """T * x: the coordinate of r_j * pi^i sits at i*f + j."""
+    def _basis_inverse(self):
+        """T = B^-1 as (shifts, R, rows, index): row j is p^shifts[j] *
+        rows[j], its ints known modulo p^R, and index is the least k with
+        p^k O inside the monomial lattice.  B is the matrix of the stored
+        ints of the basis, taken as exact: they lift the same residues and
+        uniformizer powers, to far below the digits any decision reads."""
         T = self._caches.get("basis_inverse")
         if T is None:
-            cols = []
-            pik = self._one_raw()
+            n, cols, pik = self.degree, [], self._one_raw()
             for _ in range(self.e):
-                cols += [self._mul(self.level, pik, r) for r in self._residue_basis]
-                pik = self._mul(self.level, pik, self._pi)
-            n = self.degree
-            ident = [[(0, 1, self.ctx.M) if k == l else CZERO for k in range(n)] for l in range(n)]
-            T = self._eliminate([[col[l] for col in cols] for l in range(n)], ident)
-            self._caches["basis_inverse"] = T
-        c_add, c_mul = self.ctx.c_add, self.ctx.c_mul
-        live = [(l, c) for l, c in enumerate(x) if c[1] != 0 or c[0] < ZERO_EXP]
+                cols += [self._mul(pik, r) for r in self._residue_basis]
+                pik = self._mul(pik, self._pi)
+            ident = [[int(i == j) for i in range(n)] for j in range(n)]
+            mat = [[col[2][j] for col in cols] for j in range(n)]
+            D, R, rows = self._solve(mat, ident, 4 * self.cap)
+            R = min(R, 2 * self.cap)
+            mod = self.p**R
+            T = self._caches["basis_inverse"] = (
+                [self.index - D - col[0] for col in cols],
+                R,
+                [[a % mod for a in row] for row in rows],
+                max(0, -min(self._lattice_shift(col) for col in cols)),
+            )
+        return T
+
+    def _basis_coords(self, x):
+        """T * x as one (s, n, a) per coordinate: the coordinate of
+        r_j * pi^i, at k = i*f + j, is p^s * a, known modulo p^n; n is N_x
+        unless T's own precision ends first."""
+        shifts, R, rows, _ = self._basis_inverse()
+        v, N, X = x
         out = []
-        for row in T:
-            acc = CZERO
-            for l, c in live:
-                acc = c_add(acc, c_mul(row[l], c))
-            out.append(acc)
+        for t, row in zip(shifts, rows):
+            s = t + v - self.index
+            n = min(N, s + R)
+            out.append((s, n, sum(map(operator.mul, row, X)) % self.p ** (n - s) if n > s else 0))
         return out
 
     def _val_or_bound(self, x):
         """Exact valuation (int), _INF for an exact zero, or a float lower
-        bound for an element whose retained digits all vanish."""
-        if self._all_mant_zero(x):
-            min_exp = min(c[0] for c in x)
-            return _INF if min_exp >= ZERO_EXP else float(self.e * min_exp)
+        bound for an element whose ints all vanish."""
+        v, N, _ = x
+        if v >= N:
+            return _INF if N == _INF else float(self.e * N)
         if self.degree == 1:
-            return x[0][0]
-        v = lost = _INF
-        for k, (exp, mant, _) in enumerate(self._basis_coords(x)):
-            if mant:
-                v = min(v, self.e * exp + k // self.f)
-            elif exp < ZERO_EXP:
-                lost = min(lost, self.e * exp + k // self.f)
-        if v <= lost and v != _INF:
             return v
+        e, f, p = self.e, self.f, self.p
+        best = lost = _INF
+        for k, (s, n, a) in enumerate(self._basis_coords(x)):
+            if a:
+                best = min(best, e * (s + _vp(a, p)) + k // f)
+            else:
+                lost = min(lost, e * n + k // f)
+        if best == _INF:  # zero modulo p^N O, though the ints may not show it
+            return float(lost)
+        if best <= lost:
+            return best
         raise PrecisionError("valuation undetermined at working precision")
+
+    def _settle(self):
+        """Finish a Kummer top once its uniformizer and residue basis are
+        set: its precision moves from the monomial lattice L to the ring of
+        integers O, and its index becomes the least k with p^k O in L.
+        Returns the map that carries data built so far to the new form."""
+        self.index = max(self._parent.index, self._basis_inverse()[3])
+        scale = self.p**self.index
+
+        def carry(x):
+            return (x[0], x[1], [a * scale for a in x[2]])
+
+        self._pi = self._tighten(carry(self._pi), 1 // self.e)
+        self._residue_basis = [self._tighten(carry(b), 0) for b in self._residue_basis]
+        return carry
 
     # -- public element API -----------------------------------------------------
 
@@ -680,14 +811,14 @@ class LocalField:
             if value.field is not self:
                 raise InputError("element belongs to a different field")
             return value
-        return PadicElement(self, self._coerce_raw(value, self.level))
+        return PadicElement(self, self._from_ints(self._coerce_raw(value, self.level)))
 
-    def _coerce_raw(self, value, level: int):
-        """Data of an int or a nested digit list at a level: the one reader
-        of nested digit lists."""
+    def _coerce_raw(self, value, level: int) -> list[int]:
+        """Monomial ints of an int or a nested digit list at a level: the one
+        reader of nested digit lists."""
         if isinstance(value, int):
             if level == 0:
-                return [self.ctx.c_int(value)]
+                return [value]
             value = [value]
         if isinstance(value, (list, tuple)):
             if level == 0:
@@ -712,7 +843,7 @@ class LocalField:
     def pi_pow(self, k: int) -> PadicElement:
         cache = self._caches.setdefault("pi_pows", {})
         if k not in cache:
-            cache[k] = self._pow_raw(self._pi, k)
+            cache[k] = self._tighten(self._pow_raw(self._pi, k), k // self.e)
         return PadicElement(self, cache[k])
 
     def gen(self) -> PadicElement:
@@ -738,13 +869,10 @@ class LocalField:
         }
 
     def _render(self, data) -> str:
-        parts = []
-        for c in data:
-            if c[1] == 0:
-                parts.append("0" if c[0] >= ZERO_EXP else f"O(p^{c[0]})")
-            else:
-                parts.append(f"{c[1] % self.ctx.ppow(min(4, c[2]))}*p^{c[0]}+..")
-        return "[" + ", ".join(parts) + "]"
+        v, N, ints = data
+        if N == _INF:
+            return "0"
+        return f"p^{v - self.index}*{ints} + O(p^{N})"
 
     # -- residue field machinery --------------------------------------------------
 
@@ -758,12 +886,25 @@ class LocalField:
     def residue_of(self, x) -> tuple:
         """Coordinates of x mod the maximal ideal over the residue basis."""
         data = x.data if isinstance(x, PadicElement) else x
-        coords = self._basis_coords(data)
-        for k, (exp, mant, _) in enumerate(coords):
-            # integral needs every v_p(c_ij) >= 0; the i = 0 block also needs its digit mod p
-            if exp < 0 or (k < self.f and exp == 0 and mant == 0):
+        p, f = self.p, self.f
+        if data[0] >= data[1]:  # its ints all vanish
+            if data[1] < 1:
                 raise PrecisionError("residue undetermined (non-integral input?)")
-        return tuple(mant % self.p if exp == 0 else 0 for exp, mant, _ in coords[: self.f])
+            return (0,) * f
+        out = []
+        for k, (s, n, a) in enumerate(self._basis_coords(data)):
+            # integral needs every v_p(c_ij) >= 0; the i = 0 block also needs its digit mod p
+            if a:
+                w = _vp(a, p)
+                if s + w < 0:
+                    raise PrecisionError("residue undetermined (non-integral input?)")
+                if k < f:
+                    out.append(a // p**w % p if s + w == 0 else 0)
+            elif n < (1 if k < f else 0):
+                raise PrecisionError("residue undetermined (non-integral input?)")
+            elif k < f:
+                out.append(0)
+        return tuple(out)
 
     def _rep_raw(self, coords):
         """The lift sum c_j * r_j of residue coordinates, cached per tuple."""
@@ -774,7 +915,7 @@ class LocalField:
             rep = self._zero_raw()
             for c, b in zip(coords, self._residue_basis):
                 if c:
-                    rep = self._add(rep, self._mul(self.level, self._int_raw(c), b))
+                    rep = self._add(rep, self._mul(self._int_raw(c), b))
             cache[coords] = rep
         return rep
 
@@ -788,11 +929,11 @@ class LocalField:
         cache = self._caches.setdefault("teich", {})
         if coords not in cache:
             y = self._rep_raw(coords)
-            for _ in range(2 * self.ctx.M * self.e + 20):
+            for _ in range(2 * self.cap * self.e + 20):
                 y_next = self._pow_raw(y, self.q)
                 diff = self._add(y_next, self._neg(y))
                 y = y_next
-                if self._all_mant_zero(diff):
+                if not isinstance(self._val_or_bound(diff), int):
                     break
             else:
                 raise PrecisionError("Teichmueller iteration failed to stabilize")
@@ -803,14 +944,14 @@ class LocalField:
         """Residue coordinates of p * pi^{-e}, the unit at the wild level."""
         u = self._caches.get("ubar")
         if u is None:
-            elt = self._mul(self.level, self._int_raw(self.p), self.pi_pow(-self.e).data)
+            elt = self._mul(self._int_raw(self.p), self.pi_pow(-self.e).data)
             u = self.residue_of(elt)
             self._caches["ubar"] = u
         return u
 
     def _one_plus(self, coords: tuple, k: int):
         """The principal unit 1 + rep(coords) * pi^k."""
-        term = self._mul(self.level, self._rep_raw(coords), self.pi_pow(k).data)
+        term = self._mul(self._rep_raw(coords), self.pi_pow(k).data)
         return self._add(self._one_raw(), term)
 
     def _res_add(self, a: tuple, b: tuple) -> tuple:
@@ -820,7 +961,7 @@ class LocalField:
         return tuple((-x) % self.p for x in a)
 
     def _res_mul(self, a: tuple, b: tuple) -> tuple:
-        return self.residue_of(self._mul(self.level, self._rep_raw(a), self._rep_raw(b)))
+        return self.residue_of(self._mul(self._rep_raw(a), self._rep_raw(b)))
 
     def _res_pow(self, a: tuple, k: int) -> tuple:
         return self.residue_of(self._pow_raw(self._rep_raw(a), k))
@@ -873,7 +1014,7 @@ class LocalField:
         k_inv = pow(p, -1, self.q - 1) if self.q > 2 else 1
         t = self._pow_raw(self.teichmueller(PadicElement(self, self._rep_raw(coords))).data, k_inv)
         for _ in range(w + 3):
-            ratio = self._mul(self.level, u_data, self._inv(self._pow_raw(t, p)))
+            ratio = self._mul(u_data, self._inv(self._pow_raw(t, p)))
             d = self._add(ratio, self._neg(self._one_raw()))
             v = self._val_or_bound(d)
             if v == _INF:
@@ -885,7 +1026,7 @@ class LocalField:
             mu = v
             if mu > w:
                 return ("power", t)
-            c = self.residue_of(self._mul(self.level, d, self.pi_pow(-mu).data))
+            c = self.residue_of(self._mul(d, self.pi_pow(-mu).data))
             if mu == w:
                 sol = fp_solve(self._as_matrix(), np.array(c, dtype=np.int64))
                 if sol is None:
@@ -897,7 +1038,7 @@ class LocalField:
                 level = mu // p
             else:
                 return ("ramified", t, mu)
-            t = self._mul(self.level, t, self._one_plus(s, level))
+            t = self._mul(t, self._one_plus(s, level))
         raise MathCheckError("p-th root defect loop failed to terminate")  # pragma: no cover
 
     def is_pth_power(self, x: PadicElement) -> bool:
@@ -909,7 +1050,7 @@ class LocalField:
         v = x.valuation()
         if v % self.p:
             return False
-        u = self._mul(self.level, x.data, self.pi_pow(-v).data)
+        u = self._mul(x.data, self.pi_pow(-v).data)
         return self._unit_defect(u)[0] == "power"
 
     # -- mu_p detection and the p-th root of unity -----------------------------------
@@ -937,9 +1078,8 @@ class LocalField:
         if self.e % (p - 1):
             return False
         mu0 = self.e // (p - 1)
-        kern, _ = kernel_image(self._as_matrix())
         root = None
-        for vec in kern.vectors():
+        for vec in kernel(self._as_matrix()).vectors():
             if vec.any():
                 root = tuple(int(c) for c in vec)
                 break
@@ -964,17 +1104,17 @@ class LocalField:
                 return x
             if dv > newton_floor:
                 break
-            s = self.residue_of(self._mul(self.level, d, self.pi_pow(-dv).data))
+            s = self.residue_of(self._mul(d, self.pi_pow(-dv).data))
             t = self._res_solve_mul(self._ubar(), self._res_neg(s))
-            x = self._mul(self.level, x, self._one_plus(t, dv - self.e))
+            x = self._mul(x, self._one_plus(t, dv - self.e))
         for _ in range(60):
             h, hp = self._cyclotomic_and_derivative(x)
             hv = self._val_or_bound(h)
             if hv == _INF or not isinstance(hv, int):
                 break
-            x = self._add(x, self._neg(self._mul(self.level, h, self._inv(hp))))
+            x = self._add(x, self._neg(self._mul(h, self._inv(hp))))
         d = self._add(self._pow_raw(x, p), self._neg(self._one_raw()))
-        if not self._all_mant_zero(d):
+        if isinstance(self._val_or_bound(d), int):
             return None
         one_diff = self._add(x, self._neg(self._one_raw()))
         v = self._val_or_bound(one_diff)
@@ -988,8 +1128,8 @@ class LocalField:
         hp = self._zero_raw()
         power = self._one_raw()
         for i in range(1, self.p):
-            hp = self._add(hp, self._mul(self.level, self._int_raw(i), power))
-            power = self._mul(self.level, power, x)
+            hp = self._add(hp, self._mul(self._int_raw(i), power))
+            power = self._mul(power, x)
             h = self._add(h, power)
         return h, hp
 
@@ -1021,7 +1161,7 @@ class LocalField:
                 continue
             if mu == w:
                 tmat = self._as_matrix()
-                _, timg = kernel_image(tmat)
+                timg = image(tmat)
                 coords = next(
                     (c for c in itertools.product(range(p), repeat=f)
                      if any(c) and not timg.contains(np.array(c, dtype=np.int64))),
@@ -1037,7 +1177,7 @@ class LocalField:
             # lives here, then principal units over the residue basis
             cands: list[tuple] = []
             if zlevel == mu:
-                zres = self.residue_of(self._mul(self.level, zd, self.pi_pow(-mu).data))
+                zres = self.residue_of(self._mul(zd, self.pi_pow(-mu).data))
                 zlab = "-1" if p == 2 else "zeta"
                 cands.append((zeta, zres, zlab))
             for i in range(f):
@@ -1099,16 +1239,17 @@ class LocalField:
                 index.setdefault(e.level, []).append(pos)
         v = x.valuation()
         coords[index["pi"]] = v % p
-        u = self._mul(self.level, x.data, self.pi_pow(-v).data)
+        u = self._mul(x.data, self.pi_pow(-v).data)
         r = self.residue_of(u)
         # inverses of the fixed factors: Teichmueller lifts (keyed by residue) and basis entries
         inverses = self._caches.setdefault("k1_inverses", {})
         if r not in inverses:
             inverses[r] = self._inv(self.teichmueller(PadicElement(self, self._rep_raw(r))).data)
-        u = self._mul(self.level, u, inverses[r])
+        u, dv = self._mul(u, inverses[r]), None
         for mu in range(1, w + 1):
-            d = self._add(u, self._neg(self._one_raw()))
-            dv = self._val_or_bound(d)
+            if dv is None:  # u changed: read its level again
+                d = self._add(u, self._neg(self._one_raw()))
+                dv = self._val_or_bound(d)
             if dv == _INF or dv > w:
                 break
             if not isinstance(dv, int):
@@ -1117,7 +1258,7 @@ class LocalField:
                 continue
             if dv < mu:
                 raise MathCheckError("unit filtration peel missed a level")
-            c = self.residue_of(self._mul(self.level, d, self.pi_pow(-mu).data))
+            c = self.residue_of(self._mul(d, self.pi_pow(-mu).data))
             if mu == w:
                 pos = index["top"]
                 top = entries[pos]
@@ -1130,7 +1271,7 @@ class LocalField:
                 coords[pos] = xstar
                 if pos not in inverses:
                     inverses[pos] = self._inv(top.data)
-                u = self._mul(self.level, u, self._pow_raw(inverses[pos], xstar))
+                u, dv = self._mul(u, self._pow_raw(inverses[pos], xstar)), None
                 s, level = tuple(int(t) for t in sol[1:]), w // p
             elif mu % p == 0:
                 s, level = self._frobenius_root(c), mu // p
@@ -1144,9 +1285,9 @@ class LocalField:
                     if ck:
                         if pos not in inverses:
                             inverses[pos] = self._inv(entries[pos].data)
-                        u = self._mul(self.level, u, self._pow_raw(inverses[pos], ck))
+                        u, dv = self._mul(u, self._pow_raw(inverses[pos], ck)), None
                 continue
-            u = self._mul(self.level, u, self._inv(self._pow_raw(self._one_plus(s, level), p)))
+            u, dv = self._mul(u, self._inv(self._pow_raw(self._one_plus(s, level), p))), None
         d = self._add(u, self._neg(self._one_raw()))
         dv = self._val_or_bound(d)
         if isinstance(dv, int) and dv <= w:
@@ -1162,7 +1303,7 @@ class LocalField:
         for c, e in zip(coords, entries):
             c = int(c) % self.p
             if c:
-                acc = self._mul(self.level, acc, self._pow_raw(e.data, c))
+                acc = self._mul(acc, self._pow_raw(e.data, c))
         return PadicElement(self, acc)
 
 
@@ -1242,7 +1383,11 @@ class KummerExtension:
     Internally the Kummer element is scaled by p-th powers of the base
     uniformizer so its valuation lies in 0..p-1; that changes neither the
     extension nor the class of a, and the adjoined root transforms
-    compatibly.  sigma sends the root A to zeta_p * A.
+    compatibly.  When that element has denominators over the monomials of
+    the base, the step adjoins the root of p^(p*m) times it instead, for
+    the least m that clears them, and A is that root over p^m, so the
+    monomials of the top stay a ring.  sigma sends the root A to
+    zeta_p * A.
     """
 
     def __init__(self, base: LocalField, a: PadicElement, label: str | None = None) -> None:
@@ -1265,7 +1410,10 @@ class KummerExtension:
         self.a = a
         self.label = label
         self._a_norm = a_norm
-        poly = [base._neg(a_norm)] + [base._zero_raw()] * (p - 1)
+        lattice_shift = base._lattice_shift(a_norm)
+        clear = -(lattice_shift // p) if lattice_shift < 0 else 0
+        scaled = (a_norm[0] + p * clear, a_norm[1] + p * clear, a_norm[2])
+        poly = base._step_ints([base._neg(scaled)] + [base._zero_raw()] * (p - 1))
         if v_norm != 0:
             e, f, kind = base.e * p, base.f, "ramified"
             info = {"mu": v_norm}
@@ -1276,11 +1424,13 @@ class KummerExtension:
             e, f, kind = base.e, base.f * p, "unramified"
             info = {"m": kind_data[2], "t": kind_data[1]}
         step = _Step("kummer", p, poly, {"classification": kind, **info})
-        top = base._extended(step, e, f, None)
+        # the base's margin over its default precision carries over to the top
+        margin = base.prec - default_precision(p, base.e)
+        top = base._extended(step, e, f, default_precision(p, e) + margin)
         self.top = top
         self.ramified = kind == "ramified"
-        A = top._gen_raw()
-        self._A = A
+        gv, gN, gen = top._gen_raw()
+        A = (gv - clear, gN - clear, gen)
         if kind == "ramified":
             mu = info["mu"]
             if "t" in info:
@@ -1290,13 +1440,12 @@ class KummerExtension:
                 elt = A
             s, tt = _bezout(mu, p)
             pw = top._pow_raw(elt, s)
-            top._pi = top._mul(top.level, pw, top._lift_raw(base.pi_pow(tt).data))
+            top._pi = top._mul(pw, top._lift_raw(base.pi_pow(tt).data))
             top._residue_basis = [top._lift_raw(b) for b in base._residue_basis]
         else:
             m = info["m"]
-            ratio = top._mul(top.level, A, top._inv(top._lift_raw(info["t"])))
+            ratio = top._mul(A, top._lift_raw(base._inv(info["t"])))
             delta = top._mul(
-                top.level,
                 top._add(ratio, top._neg(top._one_raw())),
                 top._lift_raw(base.pi_pow(-m).data),
             )
@@ -1305,8 +1454,10 @@ class KummerExtension:
             for j in range(p):
                 dj = top._pow_raw(delta, j)
                 for b in base._residue_basis:
-                    basis.append(top._mul(top.level, top._lift_raw(b), dj))
+                    basis.append(top._mul(top._lift_raw(b), dj))
             top._residue_basis = basis
+        carry = top._settle()
+        self._A = top._tighten(carry(A), 0)
         vpi = top._val_or_bound(top._pi)
         if vpi != 1:
             raise MathCheckError(f"constructed uniformizer has valuation {vpi}")
@@ -1315,7 +1466,7 @@ class KummerExtension:
         zb = base.zeta.data
         self._zeta_pows = [base._one_raw()]
         for _ in range(p - 1):
-            self._zeta_pows.append(top._mul(top.level - 1, self._zeta_pows[-1], zb))
+            self._zeta_pows.append(base._mul(self._zeta_pows[-1], zb))
         self.cache: dict = {}
 
     @property
@@ -1332,28 +1483,22 @@ class KummerExtension:
         """The Galois generator: the adjoined root is scaled by zeta_p."""
         if x.field is not self.top:
             raise InputError("sigma acts on top-field elements")
-        top, s = self.top, self.base.degree
-        data = []
-        for i, zi in enumerate(self._zeta_pows):
-            data += top._mul(top.level - 1, x.data[i * s : (i + 1) * s], zi)
-        return PadicElement(top, data)
+        top, base = self.top, self.base
+        blocks = [base._mul(top._block(x.data, i), zi) for i, zi in enumerate(self._zeta_pows)]
+        return PadicElement(top, top._join(blocks))
 
     def norm_down(self, x: PadicElement) -> PadicElement:
         """Product of the p Galois conjugates, landing in the base field."""
         if x.field is not self.top:
             raise InputError("norm_down expects a top-field element")
-        base, s = self.base, self.base.degree
+        base = self.base
         prod = x
         conj = x
         for _ in range(self.p - 1):
             conj = self.sigma(conj)
             prod = prod * conj
-        for i in range(s, len(prod.data), s):
-            c = prod.data[i : i + s]
-            if not base._all_mant_zero(c):
-                v = base._val_or_bound(c)
-                if isinstance(v, int) and v < base.prec // 2:
-                    raise PrecisionError(
-                        "conjugate product failed the base-field membership check"
-                    )
-        return PadicElement(base, prod.data[:s])
+        for i in range(1, self.p):
+            bv = base._val_or_bound(self.top._block(prod.data, i))
+            if isinstance(bv, int) and bv < base.prec // 2:
+                raise PrecisionError("conjugate product failed the base-field membership check")
+        return PadicElement(base, self.top._block(prod.data, 0))

@@ -300,3 +300,34 @@ def test_report_json_matches_the_standard_encoder():
         "nested": {"a": {"b": [{"c": np.arange(2)}, []]}},
     }
     assert cli._to_json(report) == json.dumps(report, indent=2, default=cli._json_default)
+
+
+@pytest.mark.parametrize(
+    "argv, default",
+    [
+        (["verify", "--preset", "Q2"], 18),
+        (["verify", "--preset", "Q3zeta3", "--a", "uniformizer", "--n", "0", "1", "2", "3", "4"],
+         22),
+    ],
+)
+def test_doubling_the_precision_changes_no_result(capsys, argv, default):
+    """The report at twice the default precision, which reaches every top
+    field too, differs from the default one only in its precision line."""
+    code, plain, _ = run(capsys, *argv, "--json")
+    assert code == 0 and f'"precision": {default},' in plain
+    code, doubled, _ = run(capsys, *argv, "--precision", str(2 * default), "--json")
+    assert code == 0
+    assert doubled == plain.replace(f'"precision": {default},', f'"precision": {2 * default},', 1)
+
+
+def test_presentation_changes_no_euler_row(capsys):
+    """Q2(sqrt 2) as x^2 - 2 and as x^2 - 8x + 14, whose roots are 4 +- sqrt 2,
+    gives the same Euler results; the second has a middle coefficient."""
+    results = []
+    for coeffs in ([-2, 0], [14, -8]):
+        spec = json.dumps({"p": 2, "steps": [{"kind": "eisenstein", "coeffs": coeffs}]})
+        code, report, _ = run_json(capsys, "euler", "--spec", spec, "--n", "1", "2")
+        assert code == 0
+        results.append(report["results"])
+    assert len(results[0]) == 32
+    assert results[0] == results[1]

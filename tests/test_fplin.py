@@ -7,7 +7,9 @@ from knorm.fplin import (
     FpMatrix,
     Subspace,
     complement,
+    image,
     intersect_and_sum,
+    kernel,
     kernel_image,
     rref,
     solve,
@@ -127,8 +129,19 @@ matrices = st.integers(2, 7).filter(lambda p: p in (2, 3, 5, 7)).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_nullity_property(m):
-    kern, img = kernel_image(m)
+    """kernel and image each echelonise once; rank-nullity ties them."""
+    kern, img = kernel(m), image(m)
     assert kern.dim + img.dim == m.cols
+    assert all(not m.apply(v).any() for v in kern.basis)
+    assert img == Subspace(m.p, m.rows, m.entries.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices)
+def test_kernel_image_pair_matches_kernel_and_image(m):
+    """The pair read off one echelon form (the image from m's pivot
+    columns) equals the kernel and the image computed apart."""
+    assert kernel_image(m) == (kernel(m), image(m))
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from knorm.errors import InputError, PrecisionError
-from knorm.padic import KummerExtension, LocalField, _fp_irreducible, default_precision
+from knorm.padic import KummerExtension, LocalField, PadicElement, _fp_irreducible, default_precision
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ def test_nested_digit_lists_on_a_two_step_tower():
     for _ in range(20):
         a, b, c, d = (rng.randrange(-50, 50) for _ in range(4))
         x = f.element([[a, b], [c, d]])
-        assert len(x.data) == f.degree == 4
+        assert len(x.data[2]) == f.degree == 4
         assert x == a + b * s + (c + d * s) * u
     with pytest.raises(InputError):
         f.element([[[1]]])
@@ -314,3 +314,29 @@ def bruteforce_irreducible(p, deg):
 )
 def test_irreducible_search_matches_trial_division(p, deg):
     assert _fp_irreducible(p, deg) == bruteforce_irreducible(p, deg)
+
+
+def test_precision_margin_reaches_the_top():
+    """A precision of default + 6 on the base gives every Kummer top its
+    own default + 6."""
+    steps = [{"kind": "eisenstein", "coeffs": [3, 3]}]
+    base = LocalField(3, steps, precision=default_precision(3, 2) + 6)
+    top = KummerExtension(base, base.pi).top
+    assert top.prec == default_precision(3, top.e) + 6
+    assert KummerExtension(top, top.pi).top.prec == default_precision(3, 3 * top.e) + 6
+
+
+@pytest.mark.parametrize("extra", [0, 22])
+def test_teichmueller_lifts_where_the_monomials_miss_integers(extra):
+    """In the unramified cube-root top of Q3(zeta_3), whose monomial lattice
+    is smaller than its ring of integers (index 1), every Teichmueller lift
+    is found, has its residue and is fixed by x -> x^q, at the default
+    precision and at twice it."""
+    base = LocalField(3, [{"kind": "eisenstein", "coeffs": [3, 3]}], precision=22 + extra)
+    top = KummerExtension(base, base.k1_element([0, 0, 0, 1])).top
+    assert (top.e, top.f, top.index) == (2, 3, 1)
+    for coords, rep in top.residue_reps():
+        if any(coords):
+            w = top.teichmueller(PadicElement(top, rep))
+            assert top.residue_of(w) == coords
+            assert (w**top.q - w).vanishes()
