@@ -219,9 +219,10 @@ class Subspace:
         return f"Subspace(p={self.p}, dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _kernel_of(m: FpMatrix, red: np.ndarray, pivots: list[int]) -> Subspace:
-    """Null space of a matrix from its reduced row-echelon form."""
+def kernel(m: FpMatrix) -> Subspace:
+    """Null space of a matrix."""
     p, cols = m.p, m.cols
+    red, pivots = rref(m.entries, p)
     free = sorted(set(range(cols)) - set(pivots))
     kvecs = np.zeros((len(free), cols), dtype=np.int64)
     for k, f in enumerate(free):
@@ -230,21 +231,14 @@ def _kernel_of(m: FpMatrix, red: np.ndarray, pivots: list[int]) -> Subspace:
     return Subspace(p, cols, kvecs)
 
 
-def kernel(m: FpMatrix) -> Subspace:
-    """Null space of a matrix."""
-    return _kernel_of(m, *rref(m.entries, m.p))
-
-
 def image(m: FpMatrix) -> Subspace:
     """Column space of a matrix."""
     return Subspace(m.p, m.rows, m.entries.T)
 
 
 def kernel_image(m: FpMatrix) -> tuple[Subspace, Subspace]:
-    """Null space and column space of a matrix whose both are read, from
-    one echelon form: the pivot columns of m span its image."""
-    red, pivots = rref(m.entries, m.p)
-    return _kernel_of(m, red, pivots), Subspace(m.p, m.rows, m.entries[:, pivots].T)
+    """(kernel(m), image(m)), for a caller that reads both."""
+    return kernel(m), image(m)
 
 
 def intersect_and_sum(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:

@@ -21,14 +21,12 @@ and Vaccon ("Tracking p-adic precision", LMS J. Comput. Math. 17A, 2014):
 a sum is known to min(N_x, N_y) and a product to min(N_x + v_y, N_y +
 v_x).  Shifts rise whenever the ints prove more, and inverses, powers of
 pi and the integral basis carry the shift their valuation proves, so a
-unit keeps shift 0 even where L is smaller than O.  A product is one
-integer product of the operands packed by Kronecker substitution
-(Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", JSC 44, 2009) at the slots of the unreduced product,
-reduced by the step polynomials from the bottom level up, modulo
-p^(N-v+2k) once, then divided by p^k; operands with few live top-step
-blocks multiply block by block instead.  An inverse solves x * y = 1 on
-the ints by integer elimination.
+unit keeps shift 0 even where L is smaller than O.  A product adds
+the product of every pair of nonzero ints into its slot of the unreduced
+product, where each step's degree may reach 2d - 2, then reduces once by
+the step polynomials, each level's nonzero blocks before the level
+above, modulo p^(N-v+2k), and divides by p^k.  An inverse solves
+x * y = 1 on the ints by integer elimination.
 
 Decision procedures raise PrecisionError instead of guessing.
 Valuations and residues are read off coordinates over the integral basis
@@ -36,12 +34,13 @@ Valuations and residues are read off coordinates over the integral basis
 residue-basis lifts r_j (Serre, *Local Fields*, Ch. I, Sec. 6, Prop. 18),
 through a cached T = B^-1, B the matrix of that basis; this works for
 every tower shape, including p-th-root steps whose rings of integers
-exceed L.  With t = T * x, known modulo p^N like x, v(x) = min(e *
-v_p(t_ij) + i): weights of distinct i differ mod e, so only one i-block
-can tie.  The valuation is returned only when no coordinate whose digits
-were lost could weigh less, x is zero to its precision when every t_ij
-vanishes modulo p^N (its ints need not, when k > 0), and the residue of
-an integral x is (t_0j mod p).
+exceed L.  With t = T * x, every t_ij known modulo p^N like x (or to
+T's own precision, if that ends first), v(x) = min(e * v_p(t_ij) + i):
+weights of distinct i differ mod e, so only one i-block can tie, and a
+nonzero t_ij weighs less than e * N, below any coordinate whose digits
+were lost.  x is zero to its precision when every t_ij vanishes modulo
+p^N (its ints need not, when k > 0), and the residue of an integral x is
+(t_0j mod p).
 """
 
 from __future__ import annotations
@@ -87,21 +86,6 @@ def _vp(n: int, p: int) -> int:
         n //= p
         k += 1
     return k
-
-
-def _pack(ints, slots, width: int, size: int) -> int:
-    """The ints (non-negative, below 256^width) placed at the given slots
-    of a little-endian integer of size slots of width bytes each."""
-    buf = bytearray(size * width)
-    for c, k in zip(ints, slots):
-        if c:
-            buf[k * width : (k + 1) * width] = c.to_bytes(width, "little")
-    return int.from_bytes(buf, "little")
-
-
-def _unpack(z: int, width: int, size: int) -> list[int]:
-    buf = z.to_bytes(size * width, "little")
-    return [int.from_bytes(buf[k : k + width], "little") for k in range(0, size * width, width)]
 
 
 class _Step:
@@ -576,33 +560,19 @@ class LocalField:
         return self._data(v, N, Z)
 
     def _ints_mul(self, level: int, X, Y, mod: int) -> list[int]:
-        """Monomial ints of X * Y at a level, modulo mod, for ints in
-        [0, mod).  Operands with few live top-step blocks multiply block by
-        block; denser ones are packed at their slots of the unreduced
-        product, multiplied once and unpacked."""
+        """Monomial ints of X * Y at a level, modulo mod: every product of
+        two nonzero ints lands in its slot of the unreduced product, which
+        is then reduced once."""
         if level == 0:
             return [X[0] * Y[0] % mod]
-        d, s, _, slots, size = self._ring(level)
-        if s == 1:
-            conv = [0] * (2 * d - 1)
-            ys = [(j, b) for j, b in enumerate(Y) if b]
-            for i, a in enumerate(X):
-                if a:
-                    for j, b in ys:
-                        conv[i + j] += a * b
-            return self._reduce_top(1, conv, mod)
-        xs = [(i, X[i * s : (i + 1) * s]) for i in range(d) if any(X[i * s : (i + 1) * s])]
-        ys = [(j, Y[j * s : (j + 1) * s]) for j in range(d) if any(Y[j * s : (j + 1) * s])]
-        if len(xs) * len(ys) > 3 * d:
-            width = (2 * mod.bit_length() + len(X).bit_length()) // 8 + 1
-            wide = _pack(X, slots, width, size) * _pack(Y, slots, width, size)
-            return self._reduce(level, _unpack(wide, width, size), mod)
-        conv = [None] * (2 * d - 1)
-        for i, a in xs:
-            for j, b in ys:
-                t, u = self._ints_mul(level - 1, a, b, mod), conv[i + j]
-                conv[i + j] = t if u is None else [g + h for g, h in zip(u, t)]
-        return self._reduce_top(level, conv, mod)
+        slots, size = self._ring(level)[3:]
+        wide = [0] * size
+        ys = [(t, b) for t, b in zip(slots, Y) if b]
+        for t, a in zip(slots, X):
+            if a:
+                for u, b in ys:
+                    wide[t + u] += a * b
+        return self._reduce(level, wide, mod)
 
     def _reduce(self, level: int, wide: list[int], mod: int) -> list[int]:
         """Reduce the slots of an unreduced level product: each top-step
@@ -610,8 +580,8 @@ class LocalField:
         if level == 1:
             return self._reduce_top(1, wide, mod)
         d, sub = self._ring(level)[0], self._ring(level - 1)[4]
-        blocks = [self._reduce(level - 1, wide[i * sub : (i + 1) * sub], mod)
-                  for i in range(2 * d - 1)]
+        blocks = [wide[i * sub : (i + 1) * sub] for i in range(2 * d - 1)]
+        blocks = [self._reduce(level - 1, b, mod) if any(b) else None for b in blocks]
         return self._reduce_top(level, blocks, mod)
 
     def _reduce_top(self, level: int, conv: list, mod: int) -> list[int]:
@@ -731,10 +701,11 @@ class LocalField:
 
     def _basis_inverse(self):
         """T = B^-1 as (shifts, R, rows, index): row j is p^shifts[j] *
-        rows[j], its ints known modulo p^R, and index is the least k with
-        p^k O inside the monomial lattice.  B is the matrix of the stored
-        ints of the basis, taken as exact: they lift the same residues and
-        uniformizer powers, to far below the digits any decision reads."""
+        rows[j], the rows' ints are known modulo p^(R - min(shifts)), and
+        index is the least k with p^k O inside the monomial lattice.  B is
+        the matrix of the stored ints of the basis, taken as exact: they
+        lift the same residues and uniformizer powers, to far below the
+        digits any decision reads."""
         T = self._caches.get("basis_inverse")
         if T is None:
             n, cols, pik = self.degree, [], self._one_raw()
@@ -745,48 +716,43 @@ class LocalField:
             mat = [[col[2][j] for col in cols] for j in range(n)]
             D, R, rows = self._solve(mat, ident, 4 * self.cap)
             R = min(R, 2 * self.cap)
+            shifts = [self.index - D - col[0] for col in cols]
             mod = self.p**R
             T = self._caches["basis_inverse"] = (
-                [self.index - D - col[0] for col in cols],
-                R,
+                shifts,
+                min(shifts) + R,
                 [[a % mod for a in row] for row in rows],
                 max(0, -min(self._lattice_shift(col) for col in cols)),
             )
         return T
 
     def _basis_coords(self, x):
-        """T * x as one (s, n, a) per coordinate: the coordinate of
-        r_j * pi^i, at k = i*f + j, is p^s * a, known modulo p^n; n is N_x
-        unless T's own precision ends first."""
+        """T * x as (n, [(s, a), ...]): the coordinate of r_j * pi^i, at
+        position i*f + j, is p^s * a, and every coordinate is known modulo
+        the same p^n, which is p^N_x unless T's own precision ends first."""
         shifts, R, rows, _ = self._basis_inverse()
         v, N, X = x
+        n = min(N, v - self.index + R)
         out = []
         for t, row in zip(shifts, rows):
             s = t + v - self.index
-            n = min(N, s + R)
-            out.append((s, n, sum(map(operator.mul, row, X)) % self.p ** (n - s) if n > s else 0))
-        return out
+            out.append((s, sum(map(operator.mul, row, X)) % self.p ** (n - s) if n > s else 0))
+        return n, out
 
     def _val_or_bound(self, x):
-        """Exact valuation (int), _INF for an exact zero, or a float lower
-        bound for an element whose ints all vanish."""
+        """Exact valuation (int), _INF for an exact zero, or the float lower
+        bound e * n for an element zero modulo p^n O.  A nonzero coordinate
+        known modulo p^n weighs less than e * n, so no vanished coordinate
+        can undercut the least nonzero weight."""
         v, N, _ = x
         if v >= N:
             return _INF if N == _INF else float(self.e * N)
         if self.degree == 1:
             return v
         e, f, p = self.e, self.f, self.p
-        best = lost = _INF
-        for k, (s, n, a) in enumerate(self._basis_coords(x)):
-            if a:
-                best = min(best, e * (s + _vp(a, p)) + k // f)
-            else:
-                lost = min(lost, e * n + k // f)
-        if best == _INF:  # zero modulo p^N O, though the ints may not show it
-            return float(lost)
-        if best <= lost:
-            return best
-        raise PrecisionError("valuation undetermined at working precision")
+        n, coords = self._basis_coords(x)
+        weights = [e * (s + _vp(a, p)) + k // f for k, (s, a) in enumerate(coords) if a]
+        return min(weights) if weights else float(e * n)
 
     def _settle(self):
         """Finish a Kummer top once its uniformizer and residue basis are
@@ -891,8 +857,8 @@ class LocalField:
             if data[1] < 1:
                 raise PrecisionError("residue undetermined (non-integral input?)")
             return (0,) * f
-        out = []
-        for k, (s, n, a) in enumerate(self._basis_coords(data)):
+        out, (n, coords) = [], self._basis_coords(data)
+        for k, (s, a) in enumerate(coords):
             # integral needs every v_p(c_ij) >= 0; the i = 0 block also needs its digit mod p
             if a:
                 w = _vp(a, p)
@@ -954,12 +920,6 @@ class LocalField:
         term = self._mul(self._rep_raw(coords), self.pi_pow(k).data)
         return self._add(self._one_raw(), term)
 
-    def _res_add(self, a: tuple, b: tuple) -> tuple:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def _res_neg(self, a: tuple) -> tuple:
-        return tuple((-x) % self.p for x in a)
-
     def _res_mul(self, a: tuple, b: tuple) -> tuple:
         return self.residue_of(self._mul(self._rep_raw(a), self._rep_raw(b)))
 
@@ -981,23 +941,15 @@ class LocalField:
         """The F_p-linear map s -> s^p + ubar * s on the residue field."""
         mat = self._caches.get("as_matrix")
         if mat is None:
-            ubar = self._ubar()
-            cols = []
+            ubar, cols = self._ubar(), []
             for i in range(self.f):
-                coords = tuple(1 if j == i else 0 for j in range(self.f))
-                img = self._res_add(self._res_pow(coords, self.p), self._res_mul(ubar, coords))
-                cols.append(img)
+                s = tuple(int(j == i) for j in range(self.f))
+                cols.append(np.add(self._res_pow(s, self.p), self._res_mul(ubar, s)))
             mat = FpMatrix(self.p, np.array(cols, dtype=np.int64).T)
             self._caches["as_matrix"] = mat
         return mat
 
     # -- p-th power testing --------------------------------------------------------
-
-    def _require_wild_headroom(self) -> None:
-        if self.prec < self.wild + 5:
-            raise PrecisionError(
-                f"precision {self.prec} is too small for the wild bound {self.wild}"
-            )
 
     def _unit_defect(self, u_data):
         """Hensel-style p-th root approximation of a unit.
@@ -1009,7 +961,6 @@ class LocalField:
         u = t^p * (1 + O(pi^level)).
         """
         p, w = self.p, self.wild
-        self._require_wild_headroom()
         coords = self.residue_of(u_data)
         k_inv = pow(p, -1, self.q - 1) if self.q > 2 else 1
         t = self._pow_raw(self.teichmueller(PadicElement(self, self._rep_raw(coords))).data, k_inv)
@@ -1105,7 +1056,7 @@ class LocalField:
             if dv > newton_floor:
                 break
             s = self.residue_of(self._mul(d, self.pi_pow(-dv).data))
-            t = self._res_solve_mul(self._ubar(), self._res_neg(s))
+            t = self._res_solve_mul(self._ubar(), tuple(-c % p for c in s))
             x = self._mul(x, self._one_plus(t, dv - self.e))
         for _ in range(60):
             h, hp = self._cyclotomic_and_derivative(x)
@@ -1229,16 +1180,11 @@ class LocalField:
         entries = self.k1_structure()
         p, w = self.p, self.wild
         coords = [0] * len(entries)
-        index = {}
+        index = {}  # positions by level, and of the "pi" and "top" entries
         for pos, e in enumerate(entries):
-            if e.kind == "pi":
-                index["pi"] = pos
-            elif e.kind == "top":
-                index["top"] = pos
-            else:
-                index.setdefault(e.level, []).append(pos)
+            index.setdefault(e.level if e.kind == "unit" else e.kind, []).append(pos)
         v = x.valuation()
-        coords[index["pi"]] = v % p
+        coords[index["pi"][0]] = v % p
         u = self._mul(x.data, self.pi_pow(-v).data)
         r = self.residue_of(u)
         # inverses of the fixed factors: Teichmueller lifts (keyed by residue) and basis entries
@@ -1260,7 +1206,7 @@ class LocalField:
                 raise MathCheckError("unit filtration peel missed a level")
             c = self.residue_of(self._mul(d, self.pi_pow(-mu).data))
             if mu == w:
-                pos = index["top"]
+                pos = index["top"][0]
                 top = entries[pos]
                 rstar = np.array(top.residue, dtype=np.int64).reshape(-1, 1)
                 aug = FpMatrix(p, np.hstack([rstar, self._as_matrix().entries]))

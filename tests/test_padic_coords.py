@@ -178,6 +178,23 @@ def test_deep_unit_multiple():
     assert f._val_or_bound(x) == matrix_valuation(f, x) == 57
 
 
+def test_digits_past_the_precision_of_t_are_cut_evenly():
+    """An element known beyond T's own precision: its coordinates, whose
+    rows of T differ in shift, are all cut at one p^n, and the valuation
+    and residue still agree with the oracles."""
+    f = field("Q2sqrt2(sqrt 5), f = 2")
+    shifts, R, _, _ = f._basis_inverse()
+    assert len(set(shifts)) > 1
+    for i in range(f.e):
+        for r in f._residue_basis:
+            v, _, ints = f._mul(f.pi_pow(i).data, r)
+            x = f._data(v + 3, v + 3 + R + 20, ints)
+            n, _ = f._basis_coords(x)
+            assert n == x[0] - f.index + R < x[1]
+            assert f._val_or_bound(x) == matrix_valuation(f, x) == f.e * 3 + i
+            assert f.residue_of(x) == scanned_residue(f, x)
+
+
 def test_lost_digits_below_the_answer_raise():
     """An element whose digits are all lost answers no zero-ness question,
     and a residue needs the unit digit of every i = 0 coordinate."""

@@ -10,7 +10,8 @@ Every coefficient is an interval-style p-adic float ``(exp, mant, rel)``:
 Relative precision survives multiplication unchanged; additive
 cancellation shrinks it honestly.  It is independent of the
 integer kernel in ``knorm.padic``: it tracks precision per coefficient
-rather than once per element, and it never packs or reduces integers.
+rather than once per element, and it never reduces integers modulo a
+common power of p.
 """
 
 ZERO_EXP = 10**9
