@@ -264,19 +264,22 @@ def cmd_decompose(args) -> int:
     ok = True
     for n in _degrees(args):
         rep = decompose_knE(ext, n)
-        check_theorem_items(rep)
-        entry = {"a": ext.label, **rep.as_dict()}
-        report["results"].append(entry)
-        ok = ok and rep.checklist.all_passed
+        passed, checks = check_theorem_items(rep)
+        report["results"].append({"a": ext.label, **rep.as_dict(), "checks": checks})
+        ok = ok and passed
         dims = rep.summand_dims()
         lines.append(
             f"n={n}: X1 dim {dims['X1']}, X2 summands {dims['X2_summands']}, "
             f"Y rank {dims['Y_rank']}, Z dim {dims['Z']}"
-            f" | checks {'pass' if rep.checklist.all_passed else 'FAIL'}"
+            f" | checks {'pass' if passed else 'FAIL'}"
         )
-        for item in rep.checklist.failures():
-            lines.append(f"   FAILED: {item.name} {item.detail}")
+        lines += _failures(checks)
     return _finish(args, report, lines, ok)
+
+
+def _failures(checks: list[dict]) -> list[str]:
+    """The text lines of the failed items of a checklist entry."""
+    return [f"   FAILED: {c['name']} {c.get('detail', '')}" for c in checks if not c["passed"]]
 
 
 def _extensions(field: LocalField, args) -> list:
@@ -298,34 +301,35 @@ def _run_manual(args) -> int:
         spec = json.loads(args.manual)
     except json.JSONDecodeError as exc:
         raise InputError(f"unparseable manual profile: {exc}") from exc
-    rep = theorem3_check(profile_from_manual(spec))
+    passed, entry = theorem3_check(profile_from_manual(spec))
     report = _report_skeleton(None)
-    report["results"].append(rep.as_dict())
-    report["status"] = "pass" if rep.ok else "fail"
+    report["results"].append(entry)
+    report["status"] = "pass" if passed else "fail"
     _emit(report, args.json, [
-        f"manual profile: chi_T = {rep.chi_T}, chi_N = {rep.chi_N}, "
-        f"status {'pass' if rep.ok else 'FAIL'}"
+        f"manual profile: chi_T = {entry['chi_T']}, chi_N = {entry['chi_N']}, "
+        f"status {'pass' if passed else 'FAIL'}"
     ])
-    return EXIT_PASS if rep.ok else EXIT_MATH_FAIL
+    return EXIT_PASS if passed else EXIT_MATH_FAIL
 
 
 def _euler_rows(exts, degrees):
     """Per degree: the degree, the extensions' profiles and their identity
-    reports."""
+    checks, each a (passed, entry) pair."""
     for n in degrees:
         profs = [profile_from_field(ext, n) for ext in exts]
         yield n, profs, [theorem3_check(prof) for prof in profs]
 
 
 def _corollary(profs):
-    """The corollary checks over the profiles and the line that sums up the
-    doubling probe."""
-    crep = corollary_checks(profs)
+    """The verdict and entry of the corollary checks over the profiles, and
+    the line that sums up the doubling probe."""
+    passed, entry = corollary_checks(profs)
     doubling = (
-        f"chi doubles for {sum(r['chi_doubles'] for r in crep.rows)}/{crep.count} subgroups"
-        + ("  (consistent with cd <= n)" if crep.all_doubling else "")
+        f"chi doubles for {sum(r['chi_doubles'] for r in entry['per_subgroup'])}"
+        f"/{entry['count']} subgroups"
+        + ("  (consistent with cd <= n)" if entry["all_doubling"] else "")
     )
-    return crep, doubling
+    return passed, entry, doubling
 
 
 def cmd_euler(args) -> int:
@@ -334,63 +338,51 @@ def cmd_euler(args) -> int:
     field, report = _field_report(args)
     lines: list[str] = []
     ok = True
-    for n, profs, reps in _euler_rows(_extensions(field, args), _degrees(args, default=(2,))):
-        for prof, rep in zip(profs, reps):
-            report["results"].append(rep.as_dict())
+    for n, profs, checks in _euler_rows(_extensions(field, args), _degrees(args, default=(2,))):
+        for prof, (passed, entry) in zip(profs, checks):
+            report["results"].append(entry)
             lines.append(
-                f"n={n} a={prof.label}: chi_T = {rep.chi_T}, chi_N = {rep.chi_N}, "
-                f"{'pass' if rep.ok else 'FAIL'}"
+                f"n={n} a={prof.label}: chi_T = {entry['chi_T']}, chi_N = {entry['chi_N']}, "
+                f"{'pass' if passed else 'FAIL'}"
             )
-            ok = ok and rep.ok
+            ok = ok and passed
         if len(profs) > 1:
-            crep, doubling = _corollary(profs)
-            report["results"].append({"corollary": crep.as_dict()})
+            passed, entry, doubling = _corollary(profs)
+            report["results"].append({"corollary": entry})
             lines.append(f"n={n}: {doubling}")
-            ok = ok and crep.ok
+            ok = ok and passed
     return _finish(args, report, lines, ok)
 
 
 def _verify_canonical(ext, degrees, results, lines) -> bool:
     ok = True
     for n in degrees:
-        rep = decompose_knE(ext, n)
-        items = check_theorem_items(rep)
-        canonical = check_canonical(ext, n)
-        vw = check_lemma_VW(ext, n)
-        entry = {
-            "a": ext.label,
-            "n": n,
-            "decomposition": items.as_dict(),
-            "canonical": canonical.as_dict(),
-            "complements": vw.as_dict(),
+        checks = {
+            "decomposition": check_theorem_items(decompose_knE(ext, n)),
+            "canonical": check_canonical(ext, n),
+            "complements": check_lemma_VW(ext, n),
         }
-        results.append(entry)
-        good = items.all_passed and canonical.all_passed and vw.all_passed
+        results.append({"a": ext.label, "n": n, **{k: entry for k, (_, entry) in checks.items()}})
+        good = all(passed for passed, _ in checks.values())
         ok = ok and good
         lines.append(f"canonical a={ext.label} n={n}: {'pass' if good else 'FAIL'}")
-        for cl in (items, canonical, vw):
-            for item in cl.failures():
-                lines.append(f"   FAILED: {item.name} {item.detail}")
+        for _, entry in checks.values():
+            lines += _failures(entry)
     return ok
 
 
 def _verify_sequences(ext, degrees, results, lines) -> bool:
-    ok = True
-    for n in sorted(set(min(n, 3) for n in degrees) | {0}):
-        h90 = verify_hilbert90(ext, n)
-        results.append({"a": ext.label, "hilbert90": h90.as_dict()})
-        ok = ok and h90.ok
-        lines.append(f"twisted-norm a={ext.label} n={n}: {'pass' if h90.ok else 'FAIL'}")
-    for m in (1, 2, 3):
-        rep = verify_voevodsky_seq(ext, m)
-        results.append({"a": ext.label, "four_term": rep.as_dict()})
-        ok = ok and rep.ok
-        lines.append(f"four-term a={ext.label} m={m}: {'pass' if rep.ok else 'FAIL'}")
-    proj = projection_formula_check(ext)
-    results.append({"a": ext.label, "projection_formula": proj})
-    ok = ok and all(proj.values())
-    lines.append(f"projection formula a={ext.label}: {'pass' if all(proj.values()) else 'FAIL'}")
-    return ok
+    label = ext.label
+    runs = [(f"twisted-norm a={label} n={n}", "hilbert90", verify_hilbert90(ext, n))
+            for n in sorted(set(min(n, 3) for n in degrees) | {0})]
+    runs += [(f"four-term a={label} m={m}", "four_term", verify_voevodsky_seq(ext, m))
+             for m in (1, 2, 3)]
+    runs.append((f"projection formula a={label}", "projection_formula",
+                 projection_formula_check(ext)))
+    for line, key, (passed, entry) in runs:
+        results.append({"a": label, key: entry})
+        lines.append(f"{line}: {'pass' if passed else 'FAIL'}")
+    return all(passed for _, _, (passed, _) in runs)
 
 
 def cmd_verify(args) -> int:
@@ -408,11 +400,11 @@ def cmd_verify(args) -> int:
         for ext in exts:
             ok = _verify_sequences(ext, degrees, report["results"], lines) and ok
     if args.suite in ("euler", "all"):
-        for n, profs, reps in _euler_rows(exts, degrees):
-            crep, doubling = _corollary(profs)
-            report["results"] += [{"euler": rep.as_dict()} for rep in reps]
-            report["results"].append({"corollary": crep.as_dict()})
-            good = all(rep.ok for rep in reps) and crep.ok
+        for n, profs, checks in _euler_rows(exts, degrees):
+            passed, entry, doubling = _corollary(profs)
+            report["results"] += [{"euler": e} for _, e in checks]
+            report["results"].append({"corollary": entry})
+            good = all(p for p, _ in checks) and passed
             lines.append(f"euler n={n}: identities {'pass' if good else 'FAIL'}; {doubling}")
             ok = ok and good
     return _finish(args, report, lines, ok)

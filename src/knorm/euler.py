@@ -7,7 +7,9 @@ dimension of the annihilator of the defining class, and d_i the
 codimension.  Three formulas give the subgroup's cohomology dimensions;
 on local-field instances they are cross-checked against each other and
 against the extension's K-groups computed directly, and the two
-characteristic identities are verified exactly.
+characteristic identities are verified exactly.  The two checkers,
+theorem3_check and corollary_checks, return (passed, entry): their own
+verdict and the JSON-ready report entry, which the CLI prints as it is.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .structure import structure_context
 
 __all__ = [
     "CohomologyProfile",
-    "EPReport",
     "profile_from_field",
     "profile_from_manual",
     "chi",
@@ -182,63 +183,15 @@ def chi(profile: CohomologyProfile, which: str) -> int:
     raise InputError("which must be 'T' or 'N'")
 
 
-class EPReport:
-    """The two characteristic identities on one profile, held exactly."""
-
-    __slots__ = (
-        "profile", "chi_T", "chi_N", "chi_free_N", "dim_HN",
-        "identity_a_lhs", "identity_a_rhs", "identity_a_ok",
-        "identity_b_lhs", "identity_b_rhs", "identity_b_ok",
-        "variants_agree",
-    )
-
-    def __init__(self, profile, chi_T, chi_N, chi_free_N, dim_HN,
-                 a_lhs, a_rhs, b_lhs, b_rhs, variants_agree):
-        self.profile = profile
-        self.chi_T = chi_T
-        self.chi_N = chi_N
-        self.chi_free_N = chi_free_N
-        self.dim_HN = dim_HN
-        self.identity_a_lhs = a_lhs
-        self.identity_a_rhs = a_rhs
-        self.identity_a_ok = a_lhs == a_rhs
-        self.identity_b_lhs = b_lhs
-        self.identity_b_rhs = b_rhs
-        self.identity_b_ok = (b_lhs == b_rhs) if b_lhs is not None else None
-        self.variants_agree = variants_agree
-
-    @property
-    def ok(self) -> bool:
-        checks = [self.identity_a_ok]
-        if self.identity_b_ok is not None:
-            checks.append(self.identity_b_ok)
-        if self.variants_agree is not None:
-            checks.append(self.variants_agree)
-        return all(checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "profile": self.profile.as_dict(),
-            "chi_T": self.chi_T,
-            "chi_N": self.chi_N,
-            "chi_free_N": self.chi_free_N,
-            "dim_HN": self.dim_HN,
-            "identity_a": {"lhs": self.identity_a_lhs, "rhs": self.identity_a_rhs,
-                           "ok": self.identity_a_ok},
-            "identity_b": {"lhs": self.identity_b_lhs, "rhs": self.identity_b_rhs,
-                           "ok": self.identity_b_ok},
-            "variants_agree": self.variants_agree,
-            "status": "pass" if self.ok else "fail",
-        }
-
-
-def theorem3_check(profile: CohomologyProfile) -> EPReport:
+def theorem3_check(profile: CohomologyProfile) -> tuple[bool, dict]:
     """Verify p*chi(T) - chi(N) = (-1)^n (p-1) d_n, and, when licensed,
     chi(N) = chi_free(N) + (-1)^n d_n, all as exact integer identities.
 
     On local-field profiles the three dimension variants are also
     required to agree with each other and with the K-groups of the
-    extension computed directly.
+    extension computed directly.  Returns (passed, entry): every identity
+    that applies holds, and the report entry, whose "ok" of an identity
+    and "variants_agree" are None where they do not apply.
     """
     p, n = profile.p, profile.n
     chi_T = chi(profile, "T")
@@ -261,13 +214,23 @@ def theorem3_check(profile: CohomologyProfile) -> EPReport:
             except InputError:
                 pass  # unlicensed p = 2 instance
             variants_agree = variants_agree and agree
-    b_lhs = b_rhs = None
+    b_lhs = b_rhs = b_ok = None
     chi_free = _chi_free(profile)
     if chi_free is not None:
-        b_lhs = chi_N
-        b_rhs = chi_free + (-1) ** n * d_n
-    return EPReport(profile, chi_T, chi_N, chi_free, dims, a_lhs, a_rhs, b_lhs, b_rhs,
-                    variants_agree)
+        b_lhs, b_rhs = chi_N, chi_free + (-1) ** n * d_n
+        b_ok = b_lhs == b_rhs
+    passed = a_lhs == a_rhs and b_ok is not False and variants_agree is not False
+    return passed, {
+        "profile": profile.as_dict(),
+        "chi_T": chi_T,
+        "chi_N": chi_N,
+        "chi_free_N": chi_free,
+        "dim_HN": dims,
+        "identity_a": {"lhs": a_lhs, "rhs": a_rhs, "ok": a_lhs == a_rhs},
+        "identity_b": {"lhs": b_lhs, "rhs": b_rhs, "ok": b_ok},
+        "variants_agree": variants_agree,
+        "status": "pass" if passed else "fail",
+    }
 
 
 def _chi_free(profile: CohomologyProfile) -> int | None:
@@ -311,36 +274,12 @@ def enumerate_extension_classes(field: LocalField) -> list[KummerExtension]:
     return exts
 
 
-class CorollaryReport:
-    """Per-subgroup equivalences and the cohomological-dimension probe."""
-
-    __slots__ = ("n", "rows", "equivalences_ok", "all_doubling", "count")
-
-    def __init__(self, n, rows):
-        self.n = n
-        self.rows = rows
-        self.equivalences_ok = all(r["equivalence_ok"] for r in rows)
-        self.all_doubling = all(r["chi_doubles"] for r in rows)
-        self.count = len(rows)
-
-    @property
-    def ok(self) -> bool:
-        return self.equivalences_ok
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "count": self.count,
-            "per_subgroup": self.rows,
-            "equivalences_ok": self.equivalences_ok,
-            "all_doubling": self.all_doubling,
-        }
-
-
-def corollary_checks(profiles: list[CohomologyProfile]) -> CorollaryReport:
+def corollary_checks(profiles: list[CohomologyProfile]) -> tuple[bool, dict]:
     """Per profile, the equivalence of chi_n(N) = p chi_n(T) with the
     surjectivity of corestriction (d_n = 0), plus the aggregate probe:
-    doubling for every subgroup detects cohomological dimension <= n."""
+    doubling for every subgroup detects cohomological dimension <= n.
+    Returns (passed, entry): every equivalence holds, and the report entry
+    with one row per profile; the probe is reported, not checked."""
     if not profiles:
         raise InputError("corollary checks need at least one profile")
     n = profiles[0].n
@@ -367,4 +306,11 @@ def corollary_checks(profiles: list[CohomologyProfile]) -> CorollaryReport:
             row["chi_free"] = chi_free
             row["free_equivalence_ok"] = (chi_N == chi_free) == doubles
         rows.append(row)
-    return CorollaryReport(n, rows)
+    equivalences_ok = all(r["equivalence_ok"] for r in rows)
+    return equivalences_ok, {
+        "n": n,
+        "count": len(rows),
+        "per_subgroup": rows,
+        "equivalences_ok": equivalences_ok,
+        "all_doubling": all(r["chi_doubles"] for r in rows),
+    }

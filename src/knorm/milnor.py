@@ -6,7 +6,9 @@ k_2 is one-dimensional, and everything above vanishes.  This module
 builds those groups with explicit bases, the norm (corestriction),
 restriction, Galois and cup-product maps for a degree-p Kummer extension
 E/F, and the numerical verifications of the exactness statements tying
-them together.
+them together.  Each verification (verify_hilbert90, verify_voevodsky_seq,
+projection_formula_check) returns (passed, entry): its own verdict and the
+JSON-ready report entry, which the CLI prints as it is.
 
 Symbols are decided by the norm criterion: (a, b) vanishes iff b's class
 is a norm from F(a^{1/p}).  By local duality the kernel of b -> (a, b)
@@ -201,7 +203,7 @@ _CERT_EXHAUSTIVE_LIMIT = 128
 _CERT_SAMPLES = 48
 
 
-def k1_group(field: LocalField, certify: bool = True) -> KGroup:
+def k1_group(field: LocalField) -> KGroup:
     """k_1 with the unit-filtration basis.
 
     Independence is certified through p-th power tests: exhaustively over
@@ -209,7 +211,7 @@ def k1_group(field: LocalField, certify: bool = True) -> KGroup:
     sampling otherwise.
     """
     grp = k_group(field, 1)
-    if certify and not field._caches.get("k1_certified"):
+    if not field._caches.get("k1_certified"):
         p, dim = field.p, grp.dim
         if p**dim <= _CERT_EXHAUSTIVE_LIMIT:
             combos = Subspace.full(p, dim).vectors()
@@ -486,13 +488,14 @@ def ann_pair(field: LocalField, a, n: int) -> Subspace:
     return Subspace.full(p, dim)  # cup lands in k_{n+1} = 0 for n >= 2
 
 
-def projection_formula_check(ext: KummerExtension) -> dict[str, bool]:
+def projection_formula_check(ext: KummerExtension) -> tuple[bool, dict[str, bool]]:
     """Norms of symbols built from the adjoined root against base symbols.
 
     For each basis class b of k_1(F) (and the k_0 generator) the norm of
     the degree-2 symbol (A, res b) must agree with (a, b) for odd p and
     with (-a, b) for p = 2.  With the degree-2 groups one-dimensional the
-    comparison is vanishing-ness, which is scalar-free.
+    comparison is vanishing-ness, which is scalar-free.  Returns (passed,
+    entry): every instance agrees, and the agreement per basis label.
     """
     field, top, p = ext.base, ext.top, ext.p
     # for p = 2, the class of -a, with xi = -1
@@ -508,76 +511,33 @@ def projection_formula_check(ext: KummerExtension) -> dict[str, bool]:
         results[lab] = lhs_zero == rhs_zero
     # degree-0 instance: the norm of the root itself
     results["1"] = class_of(field, ext.norm_down(ext.A)) == rhs_cls
-    return results
+    return all(results.values()), results
 
 
-class H90Report:
-    """Result of the degree-n twisted-norm exactness checks."""
-
-    __slots__ = ("n", "dim_shift_image", "dim_norm_kernel", "inclusion", "composite_identity")
-
-    def __init__(self, n, dim_shift_image, dim_norm_kernel, inclusion, composite_identity):
-        self.n = n
-        self.dim_shift_image = dim_shift_image
-        self.dim_norm_kernel = dim_norm_kernel
-        self.inclusion = inclusion
-        self.composite_identity = composite_identity
-
-    @property
-    def ok(self) -> bool:
-        return self.inclusion and self.composite_identity
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "dim_image_sigma_minus_1": self.dim_shift_image,
-            "dim_ker_norm": self.dim_norm_kernel,
-            "image_inside_kernel": self.inclusion,
-            "res_after_cor_is_sigma_sum": self.composite_identity,
-        }
-
-
-def verify_hilbert90(ext: KummerExtension, n: int) -> H90Report:
+def verify_hilbert90(ext: KummerExtension, n: int) -> tuple[bool, dict]:
     """Check image(sigma - 1) inside ker(norm) on k_n(E), and that
-    restriction-after-corestriction equals 1 + sigma + ... + sigma^{p-1}."""
+    restriction-after-corestriction equals 1 + sigma + ... + sigma^{p-1}.
+    Returns (passed, entry): both hold, and the report entry."""
     module = sigma_map(ext, n)
     nmap = norm_map(ext, n)
     rmap = restriction_map(ext, n)
     shift_image = image(module.shift_power(1))
     norm_kernel = nmap.kernel()
     inclusion = shift_image.is_subspace_of(norm_kernel)
-    composite = (rmap @ nmap).matrix
-    sigma_sum = norm_operator(module)
-    return H90Report(n, shift_image.dim, norm_kernel.dim, inclusion, composite == sigma_sum)
+    composite = (rmap @ nmap).matrix == norm_operator(module)
+    return inclusion and composite, {
+        "n": n,
+        "dim_image_sigma_minus_1": shift_image.dim,
+        "dim_ker_norm": norm_kernel.dim,
+        "image_inside_kernel": inclusion,
+        "res_after_cor_is_sigma_sum": composite,
+    }
 
 
-class FourTermReport:
-    """Result of the four-term exactness checks at one degree."""
-
-    __slots__ = ("m", "dims", "exact_at_base", "exact_at_cup")
-
-    def __init__(self, m, dims, exact_at_base, exact_at_cup):
-        self.m = m
-        self.dims = dims
-        self.exact_at_base = exact_at_base
-        self.exact_at_cup = exact_at_cup
-
-    @property
-    def ok(self) -> bool:
-        return self.exact_at_base and self.exact_at_cup
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "dims": self.dims,
-            "norm_image_is_cup_annihilator": self.exact_at_base,
-            "cup_image_is_restriction_kernel": self.exact_at_cup,
-        }
-
-
-def verify_voevodsky_seq(ext: KummerExtension, m: int) -> FourTermReport:
+def verify_voevodsky_seq(ext: KummerExtension, m: int) -> tuple[bool, dict]:
     """Exactness of k_{m-1}(E) -> k_{m-1}(F) -> k_m(F) -> k_m(E), with the
-    middle maps the norm, cup with a, and restriction."""
+    middle maps the norm, cup with a, and restriction.  Returns (passed,
+    entry): exact at both inner terms, and the report entry."""
     if m < 1 or m > 3:
         raise InputError("four-term checks cover degrees 1..3")
     field, a_cls = ext.base, defining_class(ext)
@@ -585,10 +545,15 @@ def verify_voevodsky_seq(ext: KummerExtension, m: int) -> FourTermReport:
     cup_ann = ann_cup(field, a_cls, m)
     cup_image = cup_with(field, a_cls, m).image()
     res_kernel = restriction_map(ext, m).kernel()
-    dims = {
-        "norm_image": norm_image.dim,
-        "cup_annihilator": cup_ann.dim,
-        "cup_image": cup_image.dim,
-        "restriction_kernel": res_kernel.dim,
+    at_base, at_cup = norm_image == cup_ann, cup_image == res_kernel
+    return at_base and at_cup, {
+        "m": m,
+        "dims": {
+            "norm_image": norm_image.dim,
+            "cup_annihilator": cup_ann.dim,
+            "cup_image": cup_image.dim,
+            "restriction_kernel": res_kernel.dim,
+        },
+        "norm_image_is_cup_annihilator": at_base,
+        "cup_image_is_restriction_kernel": at_cup,
     }
-    return FourTermReport(m, dims, norm_image == cup_ann, cup_image == res_kernel)

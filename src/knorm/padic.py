@@ -191,14 +191,11 @@ class PadicElement:
             return True
         raise PrecisionError("zero-ness undetermined at working precision")
 
-    def vanishes(self, min_digits: int | None = None) -> bool:
-        """True when the element is zero to at least min_digits uniformizer
-        digits (the field precision by default); never raises."""
+    def vanishes(self) -> bool:
+        """True when the element is zero to the field precision, in
+        uniformizer digits; never raises."""
         v = self.field._val_or_bound(self.data)
-        floor = self.field.prec if min_digits is None else min_digits
-        if isinstance(v, int):
-            return v >= floor
-        return v == _INF or v >= floor
+        return v == _INF or v >= self.field.prec
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -240,16 +237,20 @@ class LocalField:
         specs = [] if steps is None else steps
         if not isinstance(specs, list):
             raise InputError(f"steps must be a list of step objects, not {type(specs).__name__}")
-        field = LocalField._qp(p, precision)
+        # the levels below the top keep the top's margin over its default
+        e = math.prod(len(step["coeffs"]) for step in specs if isinstance(step, dict)
+                      and step.get("kind") == "eisenstein" and isinstance(step.get("coeffs"), list))
+        margin = 0 if precision is None else precision - default_precision(p, e)
+        field = LocalField._qp(p, None if specs else precision, margin)
         for i, spec in enumerate(specs):
             last = i == len(specs) - 1
-            field = field._with_spec_step(spec, precision if last else None)
+            field = field._with_spec_step(spec, precision if last else None, margin)
         self._copy_from(field)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _qp(cls, p: int, precision: int | None) -> "LocalField":
+    def _qp(cls, p: int, precision: int | None, margin: int = 0) -> "LocalField":
         obj = object.__new__(cls)
         obj.p = p
         obj.steps = []
@@ -257,18 +258,22 @@ class LocalField:
         obj.e = 1
         obj.f = 1
         obj._parent = None
-        obj._setup(precision)
+        obj._setup(precision, margin)
         obj._pi = obj._int_raw(p)
         obj._residue_basis = [obj._one_raw()]
         return obj
 
-    def _setup(self, precision: int | None) -> None:
+    def _setup(self, precision: int | None, margin: int = 0) -> None:
+        """A level built without a precision, below the top of a spec, takes
+        the top's margin over its own default where that margin is positive,
+        up to its own policy maximum, so that it never refuses a precision
+        the top accepts."""
         p = self.p
         self.q = p**self.f
         self.wild = (p * self.e) // (p - 1)
         default = default_precision(p, self.e)
-        self.prec = default if precision is None else precision
         policy_min, policy_max = self.wild + 5, _PRECISION_FACTOR_MAX * default
+        self.prec = min(default + max(margin, 0), policy_max) if precision is None else precision
         if self.prec < policy_min:
             raise InputError(f"precision {self.prec} below the policy minimum {policy_min}")
         if self.prec > policy_max:
@@ -285,7 +290,8 @@ class LocalField:
         ):
             setattr(self, name, getattr(other, name))
 
-    def _extended(self, step: _Step, e: int, f: int, precision: int | None) -> "LocalField":
+    def _extended(self, step: _Step, e: int, f: int, precision: int | None,
+                  margin: int = 0) -> "LocalField":
         child = object.__new__(LocalField)
         child.p = self.p
         child.steps = self.steps + [step]
@@ -293,10 +299,10 @@ class LocalField:
         child.e = e
         child.f = f
         child._parent = self
-        child._setup(precision)
+        child._setup(precision, margin)
         return child
 
-    def _with_spec_step(self, spec, precision: int | None) -> "LocalField":
+    def _with_spec_step(self, spec, precision: int | None, margin: int) -> "LocalField":
         if not isinstance(spec, dict) or "kind" not in spec:
             raise InputError("each step must be an object with a 'kind'")
         kind = spec["kind"]
@@ -309,7 +315,7 @@ class LocalField:
                 raise InputError(f"unramified step needs an integer degree >= 2, got {deg!r}")
             if deg > 64 or self.q**deg > _RESIDUE_FIELD_MAX:
                 raise InputError(f"unramified degree {deg} gives a residue field above 2^64")
-            return self._with_unramified(deg, precision)
+            return self._with_unramified(deg, precision, margin)
         if kind == "eisenstein":
             extra = set(spec) - {"kind", "coeffs"}
             if extra:
@@ -317,12 +323,12 @@ class LocalField:
             coeffs = spec.get("coeffs")
             if not isinstance(coeffs, list) or len(coeffs) < 2:
                 raise InputError("eisenstein step needs a 'coeffs' list of length >= 2")
-            return self._with_eisenstein([self.element(c).data for c in coeffs], precision)
+            return self._with_eisenstein([self.element(c).data for c in coeffs], precision, margin)
         raise InputError(f"unknown step kind {kind!r}")
 
-    def _with_unramified(self, deg: int, precision: int | None = None) -> "LocalField":
+    def _with_unramified(self, deg: int, precision: int | None, margin: int) -> "LocalField":
         step = _Step("unramified", deg, self._step_ints(self._unramified_poly(deg)))
-        child = self._extended(step, self.e, self.f * deg, precision)
+        child = self._extended(step, self.e, self.f * deg, precision, margin)
         gen = child._gen_raw()
         basis = []
         for j in range(deg):
@@ -333,7 +339,7 @@ class LocalField:
         child._pi = child._lift_raw(self._pi)
         return child
 
-    def _with_eisenstein(self, coeffs: list, precision: int | None = None) -> "LocalField":
+    def _with_eisenstein(self, coeffs: list, precision: int | None, margin: int) -> "LocalField":
         deg = len(coeffs)
         v0 = self._val_or_bound(coeffs[0])
         if v0 != 1:
@@ -343,7 +349,7 @@ class LocalField:
             if isinstance(v, int) and v < 1:
                 raise InputError("middle Eisenstein coefficients must have positive valuation")
         step = _Step("eisenstein", deg, self._step_ints(coeffs))
-        child = self._extended(step, self.e * deg, self.f, precision)
+        child = self._extended(step, self.e * deg, self.f, precision, margin)
         child._residue_basis = [child._lift_raw(b) for b in self._residue_basis]
         child._pi = child._gen_raw()
         return child

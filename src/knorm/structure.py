@@ -7,7 +7,10 @@ X2 (odd p only), and a free part Y.  This module computes the
 invariants, executes the explicit construction of those summands by
 seeding the generic cyclic-module decomposition with pinned complements,
 and re-verifies every structural claim and the canonical (choice-free)
-statements on concrete instances.
+statements on concrete instances.  Each checker (check_theorem_items,
+check_canonical, check_lemma_VW) returns (passed, entry): its own verdict
+and its checklist, a list of {"name", "passed"[, "detail"]} dicts that the
+CLI prints as it is.
 
 Everything these steps and the Euler formulas read about one pair is
 built once, by structure_context, into a StructureContext kept in the
@@ -43,8 +46,6 @@ from .padic import KummerExtension
 __all__ = [
     "Invariants",
     "StructureReport",
-    "CheckItem",
-    "Checklist",
     "StructureContext",
     "GaloisSide",
     "structure_context",
@@ -116,61 +117,12 @@ class Invariants:
         return f"Invariants(n={self.n}, (d,e,u1,u2,y,z)={self.as_tuple()})"
 
 
-class CheckItem:
-    __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        self.name = name
-        self.passed = bool(passed)
-        self.detail = detail
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "passed": self.passed}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-    def __repr__(self) -> str:
-        return f"CheckItem({self.name}: {'pass' if self.passed else 'FAIL'})"
-
-
-class Checklist:
-    def __init__(self, items: list[CheckItem] | None = None) -> None:
-        self.items = items or []
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.items.append(CheckItem(name, passed, detail))
-
-    @property
-    def all_passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-    def failures(self) -> list[CheckItem]:
-        return [i for i in self.items if not i.passed]
-
-    def as_dict(self) -> list[dict]:
-        return [i.as_dict() for i in self.items]
-
-    def extend(self, other: "Checklist") -> None:
-        self.items.extend(other.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __repr__(self) -> str:
-        bad = len(self.failures())
-        return f"Checklist({len(self.items)} items, {bad} failing)"
-
-
 class StructureReport:
     """Decomposition data for one (extension, degree) pair."""
 
-    __slots__ = (
-        "ext", "n", "invariants", "profile", "x1", "x2", "y_space", "z",
-        "generators", "checklist",
-    )
+    __slots__ = ("ext", "n", "invariants", "profile", "x1", "x2", "y_space", "z")
 
-    def __init__(self, ext, n, invariants, profile, x1, x2, y_space, z, generators):
+    def __init__(self, ext, n, invariants, profile, x1, x2, y_space, z):
         self.ext = ext
         self.n = n
         self.invariants = invariants
@@ -179,8 +131,6 @@ class StructureReport:
         self.x2 = x2
         self.y_space = y_space
         self.z = z
-        self.generators = generators
-        self.checklist = Checklist()
 
     def summand_dims(self) -> dict:
         return {
@@ -202,7 +152,6 @@ class StructureReport:
                 "Y": self.y_space.basis.tolist(),
                 "Z": self.z.basis.tolist(),
             },
-            "checks": self.checklist.as_dict(),
         }
 
 
@@ -358,93 +307,106 @@ def decompose_knE(ext: KummerExtension, n: int) -> StructureReport:
         raise MathCheckError("total dimension does not match the invariant sum")
     x2 = dec.summand_bases[2] if p > 2 else Subspace.zero(p, dim_e)
     y_space = dec.summand_bases[p]
-    return StructureReport(ext, n, inv, profile, x1, x2, y_space, z, dec.generators)
+    return StructureReport(ext, n, inv, profile, x1, x2, y_space, z)
 
 
-def check_theorem_items(report: StructureReport) -> Checklist:
+def _checklist(checks) -> tuple[bool, list[dict]]:
+    """(passed, entry) of (name, passed[, detail]) checks: whether every
+    check passed, and one {"name", "passed"[, "detail"]} dict per check."""
+    entry = []
+    for name, passed, *detail in checks:
+        item = {"name": name, "passed": bool(passed)}
+        if detail:
+            item["detail"] = detail[0]
+        entry.append(item)
+    return all(item["passed"] for item in entry), entry
+
+
+def check_theorem_items(report: StructureReport) -> tuple[bool, list[dict]]:
     """Re-verify every claim of the decomposition statement on the report:
     triviality and positioning of X1 and Z, freeness data of Y, the
-    corestriction behavior of X1 (+ X2), and the two dimension relations."""
+    corestriction behavior of X1 (+ X2), and the two dimension relations.
+    Returns (passed, entry), with entry the checklist."""
     p = report.ext.p
     inv = report.invariants
     ctx = structure_context(report.ext, report.n)
     gal = ctx.galois()
     module, mg, i_f, i_n = gal.module, gal.mg, gal.i_f, gal.i_n
-    out = Checklist()
-    out.add("x1_trivial", report.x1.is_subspace_of(mg), f"dim X1 = {report.x1.dim}")
     inter, _ = intersect_and_sum(report.x1, i_f)
-    out.add("x1_meets_restriction_trivially", inter.dim == 0)
-    out.add("x1_dimension", report.x1.dim == inv.upsilon1)
-    out.add("z_trivial", report.z.is_subspace_of(mg), f"dim Z = {report.z.dim}")
-    out.add("z_inside_restriction_image", report.z.is_subspace_of(i_f))
-    out.add("z_dimension", report.z.dim == inv.z)
-    out.add("y_free_rank", report.profile.m(p) == inv.y, f"rank Y = {inv.y}")
+    out = [
+        ("x1_trivial", report.x1.is_subspace_of(mg), f"dim X1 = {report.x1.dim}"),
+        ("x1_meets_restriction_trivially", inter.dim == 0),
+        ("x1_dimension", report.x1.dim == inv.upsilon1),
+        ("z_trivial", report.z.is_subspace_of(mg), f"dim Z = {report.z.dim}"),
+        ("z_inside_restriction_image", report.z.is_subspace_of(i_f)),
+        ("z_dimension", report.z.dim == inv.z),
+        ("y_free_rank", report.profile.m(p) == inv.y, f"rank Y = {inv.y}"),
+    ]
     if p > 2:
-        out.add("x2_length_two_count", report.profile.m(2) == inv.upsilon2)
+        out.append(("x2_length_two_count", report.profile.m(2) == inv.upsilon2))
     yg, _ = intersect_and_sum(report.y_space, mg)
-    out.add("fixed_part_of_y_is_res_cor_image", yg == i_n,
-            f"dim Y^G = {yg.dim}, dim res(cor) = {i_n.dim}")
+    out.append(("fixed_part_of_y_is_res_cor_image", yg == i_n,
+                f"dim Y^G = {yg.dim}, dim res(cor) = {i_n.dim}"))
     if p > 2:
         _, x1x2 = intersect_and_sum(report.x1, report.x2)
         cor_image = ctx.norm.image_of(x1x2)
-        out.add("cor_surjects_onto_cup_image", ctx.cup_image.is_subspace_of(cor_image),
-                f"dim cor(X1+X2) = {cor_image.dim}, dim (a)-image = {ctx.cup_image.dim}")
+        out.append(("cor_surjects_onto_cup_image", ctx.cup_image.is_subspace_of(cor_image),
+                    f"dim cor(X1+X2) = {cor_image.dim}, dim (a)-image = {ctx.cup_image.dim}"))
     else:
         cor_x1 = ctx.norm.image_of(report.x1)
         target = ctx.cup_ann_ax
         iso = cor_x1 == target and cor_x1.dim == report.x1.dim
-        out.add("cor_iso_from_x1_onto_cup_annpair", iso,
-                f"dim cor(X1) = {cor_x1.dim}, target = {target.dim}")
+        out.append(("cor_iso_from_x1_onto_cup_annpair", iso,
+                    f"dim cor(X1) = {cor_x1.dim}, target = {target.dim}"))
     e_lhs = inv.upsilon1 + inv.y if p == 2 else inv.upsilon1 + inv.upsilon2 + inv.y
-    out.add("relation_e", e_lhs == inv.e)
-    out.add("relation_d", inv.upsilon2 + inv.z == inv.d)
-    out.add("total_dimension", module.dim == inv.total_dim, f"dim = {module.dim}")
-    report.checklist.extend(out)
-    return out
+    out.append(("relation_e", e_lhs == inv.e))
+    out.append(("relation_d", inv.upsilon2 + inv.z == inv.d))
+    out.append(("total_dimension", module.dim == inv.total_dim, f"dim = {module.dim}"))
+    return _checklist(out)
 
 
-def check_canonical(ext: KummerExtension, n: int) -> Checklist:
+def check_canonical(ext: KummerExtension, n: int) -> tuple[bool, list[dict]]:
     """The choice-free statements: the intersections of the fixed part
     with images of powers of (sigma - 1), the six-term exact sequence, and
-    the unseeded module profile against the invariants."""
+    the unseeded module profile against the invariants.  Returns (passed,
+    entry), with entry the checklist."""
     field, p = ext.base, ext.p
     ctx = structure_context(ext, n)
     inv, gal = ctx.invariants, ctx.galois()
     module, mg, i_f, i_n = gal.module, gal.mg, gal.i_f, gal.i_n
-    out = Checklist()
-    out.add("norm_power_identity", i_n == omega_image(module, p - 1),
-            "res(cor) image equals the image of the top power of (sigma-1)")
+    out = [("norm_power_identity", i_n == omega_image(module, p - 1),
+            "res(cor) image equals the image of the top power of (sigma-1)")]
     first, _ = intersect_and_sum(omega_image(module, 1), mg)
-    out.add("first_power_intersection", first == gal.inner, f"dim = {first.dim}")
+    out.append(("first_power_intersection", first == gal.inner, f"dim = {first.dim}"))
     higher_ok = True
     for i in range(3, p + 1):
         inter, _ = intersect_and_sum(omega_image(module, i - 1), mg)
         higher_ok = higher_ok and inter == i_n
-    out.add("higher_power_intersections", higher_ok)
+    out.append(("higher_power_intersections", higher_ok))
 
     # six-term sequence through k_{n-1}(F), k_n(F), the fixed part, and
     # the (a)-multiples of ann(a, xi)
     ann_a, cup_img = ctx.ann_a, ctx.cup_image
     kn1, kn = k_dim(field, n - 1), k_dim(field, n)
     ker_cup = ctx.cup.kernel()
-    out.add("six_term_exact_at_kn1", ker_cup == ann_a,
-            f"ker dim {ker_cup.dim}, ann dim {ann_a.dim}")
+    out.append(("six_term_exact_at_kn1", ker_cup == ann_a,
+                f"ker dim {ker_cup.dim}, ann dim {ann_a.dim}"))
 
     ker_res = gal.res_kernel
-    out.add("six_term_exact_at_kn", cup_img == ker_res,
-            f"cup image dim {cup_img.dim}, ker res dim {ker_res.dim}")
+    out.append(("six_term_exact_at_kn", cup_img == ker_res,
+                f"cup image dim {cup_img.dim}, ker res dim {ker_res.dim}"))
 
     ker_in_fixed, _ = intersect_and_sum(ctx.norm.kernel(), mg)
-    out.add("six_term_exact_at_fixed", i_f == ker_in_fixed,
-            f"res image dim {i_f.dim}, ker cap fixed dim {ker_in_fixed.dim}")
+    out.append(("six_term_exact_at_fixed", i_f == ker_in_fixed,
+                f"res image dim {i_f.dim}, ker cap fixed dim {ker_in_fixed.dim}"))
 
     norm_of_fixed = ctx.norm.image_of(mg)
     last = ctx.cup_ann_ax
-    out.add("six_term_exact_at_end", norm_of_fixed == last,
-            f"cor(fixed) dim {norm_of_fixed.dim}, (a)ann(a,xi) dim {last.dim}")
+    out.append(("six_term_exact_at_end", norm_of_fixed == last,
+                f"cor(fixed) dim {norm_of_fixed.dim}, (a)ann(a,xi) dim {last.dim}"))
 
     alt = ann_a.dim - kn1 + kn - mg.dim + last.dim
-    out.add("six_term_alternating_sum", alt == 0, f"sum = {alt}")
+    out.append(("six_term_alternating_sum", alt == 0, f"sum = {alt}"))
 
     plain_profile = multiplicity_oracle(module)
     shape_ok = (
@@ -453,25 +415,26 @@ def check_canonical(ext: KummerExtension, n: int) -> Checklist:
         and (p == 2 or plain_profile.m(2) == inv.upsilon2)
         and all(plain_profile.m(j) == 0 for j in range(3, p))
     )
-    out.add("unseeded_profile_matches_invariants", shape_ok,
-            f"profile {plain_profile.multiplicities}")
-    return out
+    out.append(("unseeded_profile_matches_invariants", shape_ok,
+                f"profile {plain_profile.multiplicities}"))
+    return _checklist(out)
 
 
-def check_lemma_VW(ext: KummerExtension, n: int) -> Checklist:
+def check_lemma_VW(ext: KummerExtension, n: int) -> tuple[bool, list[dict]]:
     """Injectivity of cup product with a on the complement V + W of
     ann(a) in k_{n-1}, and (odd p) of the xi-cup composed with
-    restriction on W."""
+    restriction on W.  Returns (passed, entry), with entry the checklist."""
     ctx = structure_context(ext, n)
     v = complement(ctx.ann_a, ctx.ann_ax)
     _, vw = intersect_and_sum(v, ctx.w)
-    out = Checklist()
     restricted = ctx.cup.image_of(vw)
-    out.add("cup_injective_on_vw", restricted.dim == vw.dim,
-            f"dim V+W = {vw.dim}, image dim = {restricted.dim}")
-    out.add("cup_image_from_vw", restricted == ctx.cup_image)
+    out = [
+        ("cup_injective_on_vw", restricted.dim == vw.dim,
+         f"dim V+W = {vw.dim}, image dim = {restricted.dim}"),
+        ("cup_image_from_vw", restricted == ctx.cup_image),
+    ]
     if ext.p > 2:
         img_w = ctx.galois().xi_cup.image_of(ctx.w)
-        out.add("xi_cup_injective_on_w", img_w.dim == ctx.w.dim,
-                f"dim W = {ctx.w.dim}, image dim = {img_w.dim}")
-    return out
+        out.append(("xi_cup_injective_on_w", img_w.dim == ctx.w.dim,
+                    f"dim W = {ctx.w.dim}, image dim = {img_w.dim}"))
+    return _checklist(out)

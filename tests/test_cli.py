@@ -199,6 +199,23 @@ def test_verify_norm_fault_injection_flips_exit_code(capsys, monkeypatch):
     assert "FAILED: six_term_exact_at_end" in out
 
 
+def test_verify_sequences_fault_injection_flips_exit_code(capsys, monkeypatch):
+    """Making the degree-2 restriction map the identity instead of zero must
+    fail the twisted-norm check at n = 2 and turn exit 0 into 1."""
+    real_build = M._build_restriction_map
+
+    def corrupted(ext, n):
+        kmap = real_build(ext, n)
+        return M.KMap(kmap.source, kmap.target, FpMatrix.identity(ext.p, 1)) if n == 2 else kmap
+
+    monkeypatch.setattr(M, "_build_restriction_map", corrupted)
+    code, out, _ = run(capsys, "verify", "--preset", "Q2", "--a", "2", "--suite", "sequences")
+    assert code == 1
+    assert "twisted-norm a=2 n=2: FAIL" in out
+    assert "twisted-norm a=2 n=1: pass" in out
+    assert "status: fail" in out
+
+
 def test_bad_degree_rejected(capsys):
     code, _, err = run(capsys, "verify", "--preset", "Q2", "--n", "7")
     assert code == 2
@@ -308,6 +325,7 @@ def test_report_json_matches_the_standard_encoder():
         (["verify", "--preset", "Q2"], 18),
         (["verify", "--preset", "Q3zeta3", "--a", "uniformizer", "--n", "0", "1", "2", "3", "4"],
          22),
+        (["invariants", "--spec", TWO_STEP_SPEC, "--a", "[[1, 1], [0, 1]]"], 26),
     ],
 )
 def test_doubling_the_precision_changes_no_result(capsys, argv, default):

@@ -81,18 +81,18 @@ def test_manual_profile_roundtrip():
     )
     assert E.chi(prof, "T") == -1
     assert E.chi(prof, "N") == -2
-    rep = E.theorem3_check(prof)
-    assert rep.ok
-    assert rep.chi_free_N == -2
+    passed, entry = E.theorem3_check(prof)
+    assert passed
+    assert entry["chi_free_N"] == -2
 
 
 def test_manual_profile_flag_required_for_b():
     prof = E.profile_from_manual({"p": 2, "n": 2, "h": [1, 3, 1], "a": [2, 1]})
     with pytest.raises(InputError):
         E.dim_HN_formula(prof, 1, "b")
-    rep = E.theorem3_check(prof)  # identity (a) still checked
-    assert rep.identity_a_ok
-    assert rep.identity_b_ok is None
+    _, entry = E.theorem3_check(prof)  # identity (a) still checked
+    assert entry["identity_a"]["ok"]
+    assert entry["identity_b"]["ok"] is None
 
 
 def test_manual_profile_validation():
@@ -110,11 +110,11 @@ def test_theorem3_on_q2_extensions(q2):
     for a in (2, 5, -1, -2, 10, -5, -10):
         ext = M.get_extension(q2, q2.element(a))
         for n in (1, 2):
-            rep = E.theorem3_check(E.profile_from_field(ext, n))
-            assert rep.identity_a_ok, (a, n, rep.as_dict())
-            assert rep.variants_agree, (a, n)
-            if rep.identity_b_ok is not None:
-                assert rep.identity_b_ok, (a, n)
+            _, entry = E.theorem3_check(E.profile_from_field(ext, n))
+            assert entry["identity_a"]["ok"], (a, n, entry)
+            assert entry["variants_agree"], (a, n)
+            if entry["identity_b"]["ok"] is not None:
+                assert entry["identity_b"]["ok"], (a, n)
 
 
 def test_theorem3_q3(q3z):
@@ -122,21 +122,21 @@ def test_theorem3_q3(q3z):
     for a in (lam, q3z.element(1) + lam):
         ext = M.get_extension(q3z, a)
         for n in (1, 2):
-            rep = E.theorem3_check(E.profile_from_field(ext, n))
-            assert rep.ok, (n, rep.as_dict())
+            passed, entry = E.theorem3_check(E.profile_from_field(ext, n))
+            assert passed, (n, entry)
 
 
 def test_corollary_full_q2(q2):
     exts = E.enumerate_extension_classes(q2)
     assert len(exts) == 7
     profs2 = [E.profile_from_field(e, 2) for e in exts]
-    rep2 = E.corollary_checks(profs2)
-    assert rep2.ok and rep2.all_doubling  # consistent with cd = 2
+    passed2, rep2 = E.corollary_checks(profs2)
+    assert passed2 and rep2["all_doubling"]  # consistent with cd = 2
     profs1 = [E.profile_from_field(e, 1) for e in exts]
-    rep1 = E.corollary_checks(profs1)
-    assert rep1.ok
-    assert not rep1.all_doubling  # cd != 1: some subgroup must refuse to double
-    for row in rep2.rows:
+    passed1, rep1 = E.corollary_checks(profs1)
+    assert passed1
+    assert not rep1["all_doubling"]  # cd != 1: some subgroup must refuse to double
+    for row in rep2["per_subgroup"]:
         assert row["chi_N"] == -2 and row["chi_T"] == -1
 
 
@@ -145,9 +145,9 @@ def test_corollary_manual_trivial_branch():
         {"p": 2, "n": 2, "h": [1, 2, 1], "a": [2, 1], "minus_one_norm": True, "label": "m"}
     )
     # d_n = 0 by construction: the equivalence branch must report doubling
-    rep = E.corollary_checks([prof])
-    assert rep.rows[0]["cor_surjective"]
-    assert rep.rows[0]["equivalence_ok"]
+    _, rep = E.corollary_checks([prof])
+    assert rep["per_subgroup"][0]["cor_surjective"]
+    assert rep["per_subgroup"][0]["equivalence_ok"]
 
 
 def test_chi_stable_past_cohomological_dimension():

@@ -326,6 +326,24 @@ def test_precision_margin_reaches_the_top():
     assert KummerExtension(top, top.pi).top.prec == default_precision(3, 3 * top.e) + 6
 
 
+def test_every_level_of_a_spec_keeps_the_margin_of_the_top():
+    """At precision 60 on an Eisenstein step and an unramified step over Q2,
+    every level takes the top's margin of 34 over its own default, so the pi
+    lifted from below is known to the top's cap.  The top's policy minimum
+    and maximum, 9 and 208, leave a margin that no lower level can take, and
+    no level refuses them."""
+    steps = [{"kind": "eisenstein", "coeffs": [-2, 0]}, {"kind": "unramified", "degree": 2}]
+    top = LocalField(2, steps, precision=60)
+    level, margins = top, []
+    while level is not None:
+        margins.append(level.prec - default_precision(2, level.e))
+        level = level._parent
+    assert margins == [34, 34, 34]
+    assert top._pi[1] >= top.cap
+    for precision in (9, 208):
+        assert LocalField(2, steps, precision=precision).prec == precision
+
+
 @pytest.mark.parametrize("extra", [0, 22])
 def test_teichmueller_lifts_where_the_monomials_miss_integers(extra):
     """In the unramified cube-root top of Q3(zeta_3), whose monomial lattice
