@@ -69,21 +69,6 @@ class GModule:
     def trivial(cls, p: int, dim: int) -> "GModule":
         return cls(p, np.eye(dim, dtype=np.int64))
 
-    @classmethod
-    def jordan_blocks(cls, p: int, sizes: list[int]) -> "GModule":
-        """Block-diagonal module with one unipotent Jordan block per size."""
-        if any(s < 1 or s > p for s in sizes):
-            raise InputError(f"block sizes must lie in 1..{p}")
-        n = sum(sizes)
-        mat = np.zeros((n, n), dtype=np.int64)
-        off = 0
-        for s in sizes:
-            mat[off : off + s, off : off + s] = np.eye(s, dtype=np.int64)
-            for i in range(s - 1):
-                mat[off + i, off + i + 1] = 1
-            off += s
-        return cls(p, mat)
-
     def shift_power(self, i: int) -> FpMatrix:
         """(sigma - 1)^i as a matrix, 0 <= i <= p."""
         if not 0 <= i <= self.p:
@@ -115,10 +100,6 @@ class SummandProfile:
     @property
     def total_dim(self) -> int:
         return sum(i * m for i, m in enumerate(self.multiplicities, start=1))
-
-    @property
-    def summand_count(self) -> int:
-        return sum(self.multiplicities)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -28,6 +28,14 @@ the step polynomials, each level's nonzero blocks before the level
 above, modulo p^(N-v+2k), and divides by p^k.  An inverse solves
 x * y = 1 on the ints by integer elimination.
 
+Powers of pi and the discrete log invert once per field: pi^k = p^m *
+pi^r * eta^m for k = e*m + r, 0 <= r < e, and the unit eta = pi^e / p,
+from ladders of pi^r and eta^(+-m), 1/eta the one inverse.  k1_coords
+peels the unit filtration keeping x = (recorded basis product) * (p-th
+powers) * u, clearing each level of u by a positive power that is the
+inverse times a p-th power above the level; coordinates are unique modulo
+p-th powers (Fesenko-Vostokov, *Local Fields and Their Extensions*, I.5-6).
+
 Decision procedures raise PrecisionError instead of guessing.
 Valuations and residues are read off coordinates over the integral basis
 {r_j * pi^i : i < e, j < f} built from the stored uniformizer pi and
@@ -616,8 +624,7 @@ class LocalField:
         return [c % mod for u in conv[:d] for c in ([0] * s if u is None else u)]
 
     def _pow_raw(self, x, k: int):
-        if k < 0:
-            return self._pow_raw(self._inv(x), -k)
+        """x^k for k >= 0, by binary powering."""
         out = self._one_raw()
         base = x
         while k:
@@ -813,10 +820,38 @@ class LocalField:
         return PadicElement(self, self._pi)
 
     def pi_pow(self, k: int) -> PadicElement:
+        """pi^k = p^m * pi^r * eta^m for k = e*m + r, 0 <= r < e, and the
+        unit eta = pi^e / p: one product of two ladder entries, shifted by
+        m, never less precise than a power of 1/pi (pi^-7 on Q5(zeta5) is
+        known to p^21, a binary power of 1/pi to p^19)."""
         cache = self._caches.setdefault("pi_pows", {})
-        if k not in cache:
-            cache[k] = self._tighten(self._pow_raw(self._pi, k), k // self.e)
-        return PadicElement(self, cache[k])
+        x = cache.get(k)
+        if x is None:
+            m, r = divmod(k, self.e)
+            x = self._ladder("pi", r)
+            if m:
+                eta = self._ladder("eta" if m > 0 else "1/eta", abs(m))
+                v, N, ints = self._mul(x, eta) if r else eta
+                x = (v + m, N + m, ints)
+            cache[k] = x
+        return PadicElement(self, x)
+
+    def _ladder(self, name: str, i: int):
+        """base^i, i >= 0, from a per-field list of the powers of one base,
+        grown one product at a time: pi, eta = pi^e / p or 1/eta."""
+        ladder = self._caches.get(name)
+        if ladder is None:
+            if name == "pi":
+                base = self._pi
+            elif name == "eta":
+                v, N, ints = self._tighten(self._ladder("pi", self.e), 1)
+                base = (v - 1, N - 1, ints)
+            else:
+                base = self._inv(self._ladder("eta", 1))
+            ladder = self._caches[name] = [self._one_raw(), base]
+        while len(ladder) <= i:
+            ladder.append(self._mul(ladder[-1], ladder[1]))
+        return ladder[i]
 
     def gen(self) -> PadicElement:
         """Generator adjoined by the top step."""
@@ -913,13 +948,8 @@ class LocalField:
         return PadicElement(self, cache[coords])
 
     def _ubar(self) -> tuple:
-        """Residue coordinates of p * pi^{-e}, the unit at the wild level."""
-        u = self._caches.get("ubar")
-        if u is None:
-            elt = self._mul(self._int_raw(self.p), self.pi_pow(-self.e).data)
-            u = self.residue_of(elt)
-            self._caches["ubar"] = u
-        return u
+        """Residue coordinates of p * pi^-e = 1/eta, the unit at the wild level."""
+        return self.residue_of(self._ladder("1/eta", 1))
 
     def _one_plus(self, coords: tuple, k: int):
         """The principal unit 1 + rep(coords) * pi^k."""
@@ -931,17 +961,6 @@ class LocalField:
 
     def _res_pow(self, a: tuple, k: int) -> tuple:
         return self.residue_of(self._pow_raw(self._rep_raw(a), k))
-
-    def _res_solve_mul(self, a: tuple, b: tuple) -> tuple:
-        """Solve a * t = b in the residue field, a a unit."""
-        if self.q == 2:
-            return b
-        inv = self._res_pow(a, self.q - 2)
-        return self._res_mul(inv, b)
-
-    def _frobenius_root(self, c: tuple) -> tuple:
-        """Residue p-th root c^(q/p)."""
-        return self._res_pow(c, self.q // self.p)
 
     def _as_matrix(self) -> FpMatrix:
         """The F_p-linear map s -> s^p + ubar * s on the residue field."""
@@ -991,7 +1010,7 @@ class LocalField:
                 s = tuple(int(x) for x in sol)
                 level = w // p
             elif mu % p == 0:
-                s = self._frobenius_root(c)
+                s = self._res_pow(c, self.q // p)
                 level = mu // p
             else:
                 return ("ramified", t, mu)
@@ -1062,7 +1081,7 @@ class LocalField:
             if dv > newton_floor:
                 break
             s = self.residue_of(self._mul(d, self.pi_pow(-dv).data))
-            t = self._res_solve_mul(self._ubar(), tuple(-c % p for c in s))
+            t = self._res_mul(self._res_pow(self._ubar(), self.q - 2), tuple(-c % p for c in s))
             x = self._mul(x, self._one_plus(t, dv - self.e))
         for _ in range(60):
             h, hp = self._cyclotomic_and_derivative(x)
@@ -1169,35 +1188,48 @@ class LocalField:
         return f"1+pi^{mu}*u{idx}"
 
     def _level_matrix(self, mu: int) -> FpMatrix:
-        """Residues of the level-mu basis entries, as columns."""
+        """Residues of the level-mu basis entries, as columns, followed at
+        the wild level by the columns of s -> s^p + ubar * s."""
         cache = self._caches.setdefault("level_matrices", {})
         if mu not in cache:
-            cols = [
-                e.residue for e in self.k1_structure() if e.kind == "unit" and e.level == mu
-            ]
-            cache[mu] = FpMatrix(self.p, np.array(cols, dtype=np.int64).T)
+            cols = [e.residue for e in self.k1_structure() if e.level == mu]
+            cols = np.array(cols, dtype=np.int64).T
+            if mu == self.wild:
+                cols = np.hstack([cols, self._as_matrix().entries])
+            cache[mu] = FpMatrix(self.p, cols)
         return cache[mu]
 
     def k1_coords(self, x: PadicElement) -> list[int]:
         """Discrete log in F^x/(F^x)^p over the k1_structure basis, by
-        peeling the unit filtration level by level."""
+        peeling the unit filtration with no inverse: x = (recorded basis
+        product) * (p-th powers) * u throughout, and u is cleared by its
+        Teichmueller lift to the q - 2, basis entries to the p - c, and
+        (1 + t * pi^l)^p, t the negated residue solution, where p divides the level."""
         if x.field is not self:
             raise InputError("element belongs to a different field")
         entries = self.k1_structure()
         p, w = self.p, self.wild
         coords = [0] * len(entries)
-        index = {}  # positions by level, and of the "pi" and "top" entries
+        index = {}  # positions by level; the uniformizer entry comes first
         for pos, e in enumerate(entries):
-            index.setdefault(e.level if e.kind == "unit" else e.kind, []).append(pos)
+            index.setdefault(e.level, []).append(pos)
         v = x.valuation()
-        coords[index["pi"][0]] = v % p
+        coords[0] = v % p
         u = self._mul(x.data, self.pi_pow(-v).data)
         r = self.residue_of(u)
-        # inverses of the fixed factors: Teichmueller lifts (keyed by residue) and basis entries
-        inverses = self._caches.setdefault("k1_inverses", {})
-        if r not in inverses:
-            inverses[r] = self._inv(self.teichmueller(PadicElement(self, self._rep_raw(r))).data)
-        u, dv = self._mul(u, inverses[r]), None
+        # clearing factors, in dicts of their own: by residue, by (position, c)
+        teich = self._caches.setdefault("k1_teich", {})
+        if r not in teich:
+            lift = self.teichmueller(PadicElement(self, self._rep_raw(r))).data
+            teich[r] = self._pow_raw(lift, self.q - 2)
+        powers = self._caches.setdefault("k1_powers", {})
+
+        def clear(pos: int, c: int):
+            if (pos, c) not in powers:
+                powers[pos, c] = self._pow_raw(entries[pos].data, p - c)
+            return powers[pos, c]
+
+        u, dv = self._mul(u, teich[r]), None
         for mu in range(1, w + 1):
             if dv is None:  # u changed: read its level again
                 d = self._add(u, self._neg(self._one_raw()))
@@ -1211,35 +1243,21 @@ class LocalField:
             if dv < mu:
                 raise MathCheckError("unit filtration peel missed a level")
             c = self.residue_of(self._mul(d, self.pi_pow(-mu).data))
-            if mu == w:
-                pos = index["top"][0]
-                top = entries[pos]
-                rstar = np.array(top.residue, dtype=np.int64).reshape(-1, 1)
-                aug = FpMatrix(p, np.hstack([rstar, self._as_matrix().entries]))
-                sol = fp_solve(aug, np.array(c, dtype=np.int64))
-                if sol is None:  # pragma: no cover
-                    raise MathCheckError("top filtration level is not covered")
-                xstar = int(sol[0])
-                coords[pos] = xstar
-                if pos not in inverses:
-                    inverses[pos] = self._inv(top.data)
-                u, dv = self._mul(u, self._pow_raw(inverses[pos], xstar)), None
-                s, level = tuple(int(t) for t in sol[1:]), w // p
-            elif mu % p == 0:
-                s, level = self._frobenius_root(c), mu // p
+            if mu % p == 0 and mu < w:
+                s, level = self._res_pow(c, self.q // p), mu // p
             else:
                 sol = fp_solve(self._level_matrix(mu), np.array(c, dtype=np.int64))
                 if sol is None:  # pragma: no cover
                     raise MathCheckError(f"level-{mu} slots do not cover the graded piece")
                 for k, pos in enumerate(index[mu]):
-                    ck = int(sol[k])
-                    coords[pos] = ck
+                    ck = coords[pos] = int(sol[k])
                     if ck:
-                        if pos not in inverses:
-                            inverses[pos] = self._inv(entries[pos].data)
-                        u, dv = self._mul(u, self._pow_raw(inverses[pos], ck)), None
-                continue
-            u, dv = self._mul(u, self._inv(self._pow_raw(self._one_plus(s, level), p))), None
+                        u, dv = self._mul(u, clear(pos, ck)), None
+                if mu < w:
+                    continue
+                s, level = tuple(int(t) for t in sol[len(index[mu]):]), w // p
+            t = tuple(-c % p for c in s)
+            u, dv = self._mul(u, self._pow_raw(self._one_plus(t, level), p)), None
         d = self._add(u, self._neg(self._one_raw()))
         dv = self._val_or_bound(d)
         if isinstance(dv, int) and dv <= w:
@@ -1415,10 +1433,8 @@ class KummerExtension:
             raise MathCheckError(f"constructed uniformizer has valuation {vpi}")
         top._caches["zeta"] = top._lift_raw(base.zeta.data)
         top._caches["has_mu_p"] = True
-        zb = base.zeta.data
-        self._zeta_pows = [base._one_raw()]
-        for _ in range(p - 1):
-            self._zeta_pows.append(base._mul(self._zeta_pows[-1], zb))
+        self._zeta_pows = list(itertools.accumulate(
+            [base.zeta.data] * (p - 1), base._mul, initial=base._one_raw()))
         self.cache: dict = {}
 
     @property
@@ -1431,26 +1447,29 @@ class KummerExtension:
             raise InputError("embed expects a base-field element")
         return PadicElement(self.top, self.top._lift_raw(x.data))
 
-    def sigma(self, x: PadicElement) -> PadicElement:
-        """The Galois generator: the adjoined root is scaled by zeta_p."""
+    def sigma(self, x: PadicElement, k: int = 1) -> PadicElement:
+        """sigma^k, sigma the Galois generator: block i, the coefficient of
+        the i-th power of the adjoined root, is scaled by zeta_p^(i*k)."""
         if x.field is not self.top:
             raise InputError("sigma acts on top-field elements")
-        top, base = self.top, self.base
-        blocks = [base._mul(top._block(x.data, i), zi) for i, zi in enumerate(self._zeta_pows)]
+        top, base, p = self.top, self.base, self.p
+        blocks = [base._mul(top._block(x.data, i), self._zeta_pows[i * k % p]) if i
+                  else top._block(x.data, 0) for i in range(p)]
         return PadicElement(top, top._join(blocks))
 
     def norm_down(self, x: PadicElement) -> PadicElement:
-        """Product of the p Galois conjugates, landing in the base field."""
+        """Product of the p Galois conjugates, in the base field: P_n, the
+        product of sigma^i(x) over i < n, doubles to P_n * sigma^n(P_n) along
+        the bits of p, and P_n * sigma^n(x) adds one.  A block off the base
+        whose valuation is determined fails the check."""
         if x.field is not self.top:
             raise InputError("norm_down expects a top-field element")
-        base = self.base
-        prod = x
-        conj = x
-        for _ in range(self.p - 1):
-            conj = self.sigma(conj)
-            prod = prod * conj
+        prod, n = x, 1
+        for bit in bin(self.p)[3:]:
+            prod, n = prod * self.sigma(prod, n), 2 * n
+            if bit == "1":
+                prod, n = prod * self.sigma(x, n), n + 1
         for i in range(1, self.p):
-            bv = base._val_or_bound(self.top._block(prod.data, i))
-            if isinstance(bv, int) and bv < base.prec // 2:
-                raise PrecisionError("conjugate product failed the base-field membership check")
-        return PadicElement(base, self.top._block(prod.data, 0))
+            if isinstance(self.base._val_or_bound(self.top._block(prod.data, i)), int):
+                raise MathCheckError("a norm has a nonzero block off the base field")
+        return PadicElement(self.base, self.top._block(prod.data, 0))

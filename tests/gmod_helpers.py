@@ -1,4 +1,4 @@
-"""Base change of F_p[G]-modules, used only to build test inputs."""
+"""Jordan-block modules and their base changes, used only to build test inputs."""
 
 import numpy as np
 
@@ -19,3 +19,18 @@ def conjugate(module: GModule, g) -> GModule:
     """Base change: the module with action g sigma g^{-1}."""
     g = g if isinstance(g, FpMatrix) else FpMatrix(module.p, g)
     return GModule(module.p, (g @ module.sigma @ invert(g)).entries)
+
+
+def jordan_blocks(p: int, sizes: list[int]) -> GModule:
+    """Block-diagonal module with one unipotent Jordan block per size."""
+    if any(s < 1 or s > p for s in sizes):
+        raise InputError(f"block sizes must lie in 1..{p}")
+    n = sum(sizes)
+    mat = np.zeros((n, n), dtype=np.int64)
+    off = 0
+    for s in sizes:
+        mat[off : off + s, off : off + s] = np.eye(s, dtype=np.int64)
+        for i in range(s - 1):
+            mat[off + i, off + i + 1] = 1
+        off += s
+    return GModule(p, mat)

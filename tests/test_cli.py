@@ -216,6 +216,23 @@ def test_verify_sequences_fault_injection_flips_exit_code(capsys, monkeypatch):
     assert "status: fail" in out
 
 
+def test_norm_membership_fault_exits_1(capsys, monkeypatch):
+    """Every conjugate moved off the base field by pi^(prec - 2) * A leaves
+    norms with a nonzero off-base block, far above half the precision: a
+    failed math check, exit 1, where the earlier check let it pass."""
+    from knorm.padic import KummerExtension
+
+    real_sigma = KummerExtension.sigma
+
+    def perturbed(self, x, *k):
+        return real_sigma(self, x, *k) + self.embed(self.base.pi_pow(self.base.prec - 2)) * self.A
+
+    monkeypatch.setattr(KummerExtension, "sigma", perturbed)
+    code, _, err = run(capsys, "verify", "--preset", "Q2", "--a", "2", "--suite", "canonical")
+    assert code == 1
+    assert "off the base field" in err
+
+
 def test_bad_degree_rejected(capsys):
     code, _, err = run(capsys, "verify", "--preset", "Q2", "--n", "7")
     assert code == 2

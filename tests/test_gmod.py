@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmod_helpers import conjugate
+from gmod_helpers import conjugate, jordan_blocks
 from knorm.errors import InputError
 from knorm.fplin import FpMatrix, Subspace, intersect_and_sum
 from knorm.gmod import (
@@ -42,12 +42,12 @@ def test_fixed_points_trivial_action():
 
 
 def test_fixed_points_single_full_block():
-    m = GModule.jordan_blocks(3, [3])
+    m = jordan_blocks(3, [3])
     assert fixed_points(m).dim == 1
 
 
 def test_fixed_points_mixed_blocks():
-    m = GModule.jordan_blocks(3, [1, 2, 3])
+    m = jordan_blocks(3, [1, 2, 3])
     fp = fixed_points(m)
     assert fp.dim == 3
     # One fixed line per block, verified against the explicit kernel.
@@ -57,25 +57,25 @@ def test_fixed_points_mixed_blocks():
 
 
 def test_omega_image_endpoints():
-    m = GModule.jordan_blocks(3, [3, 2])
+    m = jordan_blocks(3, [3, 2])
     assert omega_image(m, 0) == Subspace.full(3, 5)
     assert omega_image(m, 3) == Subspace.zero(3, 5)
 
 
 def test_omega_image_single_block():
-    m = GModule.jordan_blocks(3, [3])
+    m = jordan_blocks(3, [3])
     img = omega_image(m, 2)
     assert img.dim == 1
     assert img == fixed_points(m)
 
 
 def test_length_of():
-    m = GModule.jordan_blocks(3, [1, 2])
+    m = jordan_blocks(3, [1, 2])
     assert length_of(m, [1, 0, 0]) == 1
     assert length_of(m, [0, 0, 1]) == 2
     # Sum of a J1 generator and a J2 generator still has length 2.
     assert length_of(m, [1, 0, 1]) == 2
-    full = GModule.jordan_blocks(5, [5])
+    full = jordan_blocks(5, [5])
     assert length_of(full, [0, 0, 0, 0, 1]) == 5
     with pytest.raises(InputError):
         length_of(m, [0, 0, 0])
@@ -87,7 +87,7 @@ def test_norm_operator_trivial_module():
 
 
 def test_norm_operator_j2_block_p2():
-    m = GModule.jordan_blocks(2, [2])
+    m = jordan_blocks(2, [2])
     n = norm_operator(m)
     assert n.rank() == 1
     img = omega_image(m, 1)
@@ -95,15 +95,15 @@ def test_norm_operator_j2_block_p2():
 
 
 def test_norm_operator_free_modules():
-    m = GModule.jordan_blocks(3, [3, 3])
+    m = jordan_blocks(3, [3, 3])
     assert norm_operator(m).rank() == 2
 
 
 def test_multiplicity_oracle_examples():
-    free2 = GModule.jordan_blocks(2, [2, 2])
+    free2 = jordan_blocks(2, [2, 2])
     assert multiplicity_oracle(free2) == SummandProfile(2, [0, 2])
     assert multiplicity_oracle(GModule.trivial(3, 3)) == SummandProfile(3, [3, 0, 0])
-    assert multiplicity_oracle(GModule.jordan_blocks(3, [2, 2])) == SummandProfile(3, [0, 2, 0])
+    assert multiplicity_oracle(jordan_blocks(3, [2, 2])) == SummandProfile(3, [0, 2, 0])
 
 
 def test_decompose_trivial_module():
@@ -112,7 +112,7 @@ def test_decompose_trivial_module():
 
 
 def test_decompose_block_diagonal():
-    m = GModule.jordan_blocks(3, [1, 2, 3])
+    m = jordan_blocks(3, [1, 2, 3])
     dec = decompose(m)
     assert dec.profile == SummandProfile(3, [1, 1, 1])
 
@@ -121,7 +121,7 @@ def test_decompose_conjugated_blocks():
     import random
 
     rng = random.Random(7)
-    m = GModule.jordan_blocks(3, [1, 2, 3])
+    m = jordan_blocks(3, [1, 2, 3])
     g = random_invertible(rng, 3, 6)
     conj = conjugate(m, g)
     dec = decompose(conj)
@@ -135,7 +135,7 @@ def test_decompose_invariants_hold():
     rng = random.Random(11)
     for p in (2, 3, 5):
         sizes = [rng.randrange(1, p + 1) for _ in range(4)]
-        m = conjugate(GModule.jordan_blocks(p, sizes), random_invertible(rng, p, sum(sizes)))
+        m = conjugate(jordan_blocks(p, sizes), random_invertible(rng, p, sum(sizes)))
         dec = decompose(m)
         # Direct sum: total dimension and pairwise trivial intersections.
         total = None
@@ -161,11 +161,11 @@ def test_summand_count_equals_fixed_dim():
     rng = random.Random(3)
     for p in (2, 3, 5):
         sizes = [rng.randrange(1, p + 1) for _ in range(3)]
-        m = conjugate(GModule.jordan_blocks(p, sizes), random_invertible(rng, p, sum(sizes)))
+        m = conjugate(jordan_blocks(p, sizes), random_invertible(rng, p, sum(sizes)))
         dec = decompose(m)
-        assert dec.profile.summand_count == fixed_points(m).dim
+        assert sum(dec.profile.multiplicities) == fixed_points(m).dim
         cokernel_dim = m.dim - omega_image(m, 1).dim
-        assert dec.profile.summand_count == cokernel_dim
+        assert sum(dec.profile.multiplicities) == cokernel_dim
 
 
 def test_verify_exclusion_distinct_lines():
@@ -175,7 +175,7 @@ def test_verify_exclusion_distinct_lines():
 
 
 def test_verify_exclusion_vacuous_case():
-    m = GModule.jordan_blocks(2, [2])
+    m = jordan_blocks(2, [2])
     block = Subspace.full(2, 2)
     fixed_line = fixed_points(m)
     assert verify_exclusion([block, fixed_line], m)
@@ -187,14 +187,14 @@ def test_verify_exclusion_after_decompose():
     rng = random.Random(23)
     for p in (2, 3):
         sizes = [rng.randrange(1, p + 1) for _ in range(3)]
-        m = conjugate(GModule.jordan_blocks(p, sizes), random_invertible(rng, p, sum(sizes)))
+        m = conjugate(jordan_blocks(p, sizes), random_invertible(rng, p, sum(sizes)))
         dec = decompose(m)
         parts = [dec.summand_bases[i] for i in range(1, p + 1) if dec.summand_bases[i].dim]
         assert verify_exclusion(parts, m)
 
 
 def test_verify_exclusion_rejects_unstable_part():
-    m = GModule.jordan_blocks(2, [2])
+    m = jordan_blocks(2, [2])
     with pytest.raises(InputError):
         verify_exclusion([Subspace(2, 2, [[0, 1]])], m)
 
@@ -208,7 +208,7 @@ def conjugated_modules(draw):
     import random
 
     rng = random.Random(seed)
-    return conjugate(GModule.jordan_blocks(p, sizes), random_invertible(rng, p, n))
+    return conjugate(jordan_blocks(p, sizes), random_invertible(rng, p, n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,7 +222,7 @@ def test_oracle_equivalence_property(m):
 def test_reassembly_property(m):
     profile = decompose(m).profile
     sizes = [i for i in range(1, m.p + 1) for _ in range(profile.m(i))]
-    model = GModule.jordan_blocks(m.p, sizes)
+    model = jordan_blocks(m.p, sizes)
     assert model.dim == m.dim
     for i in range(m.p + 1):
         assert model.shift_power(i).rank() == m.shift_power(i).rank()

@@ -1,0 +1,160 @@
+"""Inversion-free unit arithmetic against the routes it replaced.
+
+The oracles are the earlier routes, kept here: pi^k as a binary power of
+pi (of 1/pi for k < 0, one inverse per call) with its shift raised to
+k // e, and the norm as the sequential product of the p conjugates
+sigma(x), sigma^2(x), ...  The discrete log is checked by its defining
+property instead: coordinates over F^x / (F^x)^p do not move when x is
+multiplied by a p-th power.
+"""
+
+import functools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from knorm.errors import MathCheckError
+from knorm.padic import KummerExtension, LocalField, PadicElement
+from knorm.presets import FIELD_PRESETS
+
+
+def _base(preset):
+    return LocalField.from_spec(FIELD_PRESETS[preset])
+
+
+def _ext(preset, a):
+    base = _base(preset)
+    return KummerExtension(base, base.pi if a == "pi" else base.element(a))
+
+
+FIELDS = {
+    "Q2sqrt2": lambda: _base("Q2sqrt2"),
+    "Q2unram2, f = 2": lambda: _base("Q2unram2"),
+    "Q3zeta3": lambda: _base("Q3zeta3"),
+    "Q5zeta5": lambda: _base("Q5zeta5"),
+    "Q5zeta5(pi^(1/5)), degree 20": lambda: _ext("Q5zeta5", "pi").top,
+    "Q2sqrt2(sqrt 5), unramified, f = 2": lambda: _ext("Q2sqrt2", 5).top,
+    "Q2unram2(sqrt 2), f = 2": lambda: _ext("Q2unram2", 2).top,
+    "Q3zeta3(cbrt 4), unramified": lambda: _ext("Q3zeta3", 4).top,
+    "Q3zeta3(cbrt pi)": lambda: _ext("Q3zeta3", "pi").top,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def field(name):
+    return FIELDS[name]()
+
+
+def binary_pi_pow(f, k):
+    """The earlier pi^k: a binary power of pi, or of 1/pi for k < 0."""
+    base = f._pi if k >= 0 else f._inv(f._pi)
+    return f._tighten(f._pow_raw(base, abs(k)), k // f.e)
+
+
+def agree(f, x, y):
+    """x and y are equal modulo the lesser of their stated precisions."""
+    return not isinstance(f._val_or_bound(f._add(x, f._neg(y))), int)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_pi_pow_ladders_match_binary_powers(name):
+    f = field(name)
+    bound = f.wild + f.e
+    for k in range(-bound, bound + 1):
+        new, old = f.pi_pow(k).data, binary_pi_pow(f, k)
+        assert agree(f, new, old), k
+        assert new[1] >= old[1], k  # never less precision
+        assert new[0] == k // f.e and f._val_or_bound(new) == k
+
+
+def test_pi_pow_gains_digits_on_negative_powers():
+    f = field("Q5zeta5")
+    assert (f.pi_pow(-7).data[1], binary_pi_pow(f, -7)[1]) == (21, 19)
+
+
+@st.composite
+def nonzero_ints(draw, f):
+    ints = draw(st.lists(st.integers(-40, 40), min_size=f.degree, max_size=f.degree))
+    return f._from_ints(ints) if any(ints) else f._one_raw()
+
+
+# odd p with f > 1 or with p-divisible levels below the wild one, where
+# the clearing factors of those levels are not their own inverses mod p
+K1_FIELDS = ["Q2unram2, f = 2", "Q3zeta3", "Q2sqrt2(sqrt 5), unramified, f = 2",
+             "Q2unram2(sqrt 2), f = 2", "Q3zeta3(cbrt 4), unramified", "Q3zeta3(cbrt pi)"]
+
+
+@pytest.mark.parametrize("name", K1_FIELDS)
+def test_k1_coords_ignore_pth_powers(name):
+    f = field(name)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(nonzero_ints(f), nonzero_ints(f), st.integers(-3, 3))
+    def run(x, y, shift):
+        x = f._mul(x, f.pi_pow(shift).data)
+        moved = f._mul(x, f._pow_raw(y, f.p))
+        assert f.k1_coords(PadicElement(f, moved)) == f.k1_coords(PadicElement(f, x))
+
+    run()
+
+
+def sequential_norm(ext, x):
+    """The earlier norm: x * sigma(x) * ... * sigma^(p-1)(x), one product
+    per conjugate."""
+    prod = conj = x
+    for _ in range(ext.p - 1):
+        conj = ext.sigma(conj)
+        prod = prod * conj
+    return prod
+
+
+EXTENSIONS = {2: ("Q2sqrt2", "pi"), 3: ("Q3zeta3", "pi"), 5: ("Q5zeta5", "pi")}
+
+
+@functools.lru_cache(maxsize=None)
+def extension(p):
+    return _ext(*EXTENSIONS[p])
+
+
+@pytest.mark.parametrize("p", list(EXTENSIONS))
+def test_norm_by_doubling_matches_the_sequential_product(p):
+    ext, rng = extension(p), random.Random(p)
+    top, base = ext.top, ext.base
+    for _ in range(4):
+        x = PadicElement(top, top._from_ints([rng.randrange(-9, 10) for _ in range(top.degree)]))
+        old = sequential_norm(ext, x)
+        for i in range(1, p):
+            assert not isinstance(base._val_or_bound(top._block(old.data, i)), int)
+        assert agree(base, ext.norm_down(x).data, top._block(old.data, 0))
+
+
+@pytest.mark.parametrize("p", list(EXTENSIONS))
+def test_sigma_power_is_the_iterated_generator(p):
+    ext = extension(p)
+    x = ext.A + ext.top.one()
+    conj = x
+    for k in range(p + 1):
+        assert agree(ext.top, ext.sigma(x, k).data, conj.data)
+        conj = ext.sigma(conj)
+
+
+@pytest.mark.parametrize("p", list(EXTENSIONS))
+def test_norm_rejects_a_perturbed_conjugate(p, monkeypatch):
+    """One conjugate moved off by pi^(prec - 2) * A leaves a nonzero block
+    off the base field, far above half the base precision."""
+    ext = extension(p)
+    base, top = ext.base, ext.top
+    delta = ext.embed(base.pi_pow(base.prec - 2)) * ext.A
+    x = ext.A + top.one()
+    sigma, calls = KummerExtension.sigma, []
+
+    def perturbed(y, *k):
+        calls.append(k)
+        out = sigma(ext, y, *k)
+        return out + delta if len(calls) == 1 else out
+
+    monkeypatch.setattr(ext, "sigma", perturbed)
+    with pytest.raises(MathCheckError):
+        ext.norm_down(x)
+    assert calls
