@@ -13,7 +13,8 @@ known modulo p^N O.  With k the field's ``index``, the least k with p^k O
 inside the lattice L of the b_i (0 for fields built from a spec), the
 value is p^(v-k) * sum c_i * b_i and the ints are reduced modulo
 p^(N-v+k).  Ints that all vanish give v == N; v == N == inf is an exact
-zero.  Inputs carry ``cap`` p-adic digits of relative precision.
+zero.  Inputs carry ``cap`` = ceil(prec / e) + 16 p-digits of relative
+precision (``prec`` and the wild bound count uniformizer digits).
 
 Every step polynomial is monic with exact ints of the lattice below, so L
 is a ring.  Precision follows the capped-absolute model of Caruso, Roe
@@ -28,13 +29,14 @@ the step polynomials, each level's nonzero blocks before the level
 above, modulo p^(N-v+2k), and divides by p^k.  An inverse solves
 x * y = 1 on the ints by integer elimination.
 
-Powers of pi and the discrete log invert once per field: pi^k = p^m *
-pi^r * eta^m for k = e*m + r, 0 <= r < e, and the unit eta = pi^e / p,
-from ladders of pi^r and eta^(+-m), 1/eta the one inverse.  k1_coords
-peels the unit filtration keeping x = (recorded basis product) * (p-th
-powers) * u, clearing each level of u by a positive power that is the
-inverse times a p-th power above the level; coordinates are unique modulo
-p-th powers (Fesenko-Vostokov, *Local Fields and Their Extensions*, I.5-6).
+Powers of pi need no inverse: pi^k = p^m * pi^r * eta^m for k = e*m + r,
+0 <= r < e, and the unit eta = pi^e / p, from ladders of pi^r and
+eta^(+-m), with 1/eta only in fields that need a negative power of pi.
+k1_coords peels the unit filtration keeping x = (recorded basis product)
+* (p-th powers) * u, clearing each level of u by a positive power that is
+the inverse times a p-th power above the level; coordinates are unique
+modulo p-th powers (Fesenko-Vostokov, *Local Fields and Their Extensions*,
+I.5-6).  Each level is read once; its solves and factors are cached.
 
 Decision procedures raise PrecisionError instead of guessing.
 Valuations and residues are read off coordinates over the integral basis
@@ -47,15 +49,18 @@ T's own precision, if that ends first), v(x) = min(e * v_p(t_ij) + i):
 weights of distinct i differ mod e, so only one i-block can tie, and a
 nonzero t_ij weighs less than e * N, below any coordinate whose digits
 were lost.  x is zero to its precision when every t_ij vanishes modulo
-p^N (its ints need not, when k > 0), and the residue of an integral x is
-(t_0j mod p).
+p^N (its ints need not, when k > 0).  The same pass gives the residue of
+x / pi^v, v = e*m + i: it is (t_ij / p^m mod p) times ubar^m, ubar the
+residue of p / pi^e, which is eta-bar^(q-2) and needs no inverse.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +83,19 @@ def default_precision(p: int, e: int) -> int:
     """Working precision in uniformizer digits for ramification index e."""
     w = -(-(p * e) // (p - 1))  # ceil
     return 4 * w + 10
+
+
+def _valuation_error(bound) -> PrecisionError:
+    """The error of a valuation read as a bound: zero, or undetermined."""
+    return PrecisionError("valuation of zero is undefined" if bound == _INF
+                          else "valuation undetermined at working precision")
+
+
+def _memo(cache: dict, key, build):
+    """cache[key], from build() on a miss."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -186,9 +204,7 @@ class PadicElement:
         v = self.field._val_or_bound(self.data)
         if isinstance(v, int):
             return v
-        if v == _INF:
-            raise PrecisionError("valuation of zero is undefined")
-        raise PrecisionError("valuation undetermined at working precision")
+        raise _valuation_error(v)
 
     def is_zero(self) -> bool:
         """Strict zero test; undetermined zeros raise instead of guessing."""
@@ -215,17 +231,14 @@ class PadicElement:
         return f"PadicElement({self.field.short_name()}, {self.field._render(self.data)})"
 
 
-class _K1Entry:
+class _K1Entry(NamedTuple):
     """One generator of the unit/uniformizer basis of F^x / (F^x)^p."""
 
-    __slots__ = ("kind", "level", "data", "label", "residue")
-
-    def __init__(self, kind, level, data, label, residue=None) -> None:
-        self.kind = kind  # 'pi' | 'unit' | 'top'
-        self.level = level
-        self.data = data
-        self.label = label
-        self.residue = residue
+    kind: str  # 'pi' | 'unit' | 'top'
+    level: int | None
+    data: tuple
+    label: str
+    residue: tuple | None = None
 
 
 class LocalField:
@@ -286,7 +299,7 @@ class LocalField:
             raise InputError(f"precision {self.prec} below the policy minimum {policy_min}")
         if self.prec > policy_max:
             raise InputError(f"precision {self.prec} above the policy maximum {policy_max}")
-        self.cap = max(-(-self.prec // self.e), self.wild) + 16
+        self.cap = -(-self.prec // self.e) + 16  # p-digits; prec counts pi-digits
         self.index = 0
         self.level = len(self.steps)
         self._caches: dict = {}
@@ -752,20 +765,51 @@ class LocalField:
             out.append((s, sum(map(operator.mul, row, X)) % self.p ** (n - s) if n > s else 0))
         return n, out
 
+    def _read(self, x):
+        """One pass of T over x: (v, digits), v as in _val_or_bound and, for
+        an int v = e*m + i, digits the f coordinates of block i over p^m,
+        modulo p (otherwise None)."""
+        v, N, ints = x
+        if v >= N:
+            return (_INF if N == _INF else float(self.e * N)), None
+        e, f, p = self.e, self.f, self.p
+        if self.degree == 1:
+            return v, [ints[0] % p]
+        n, coords = self._basis_coords(x)
+        weights = [e * (s + _vp(a, p)) + k // f for k, (s, a) in enumerate(coords) if a]
+        if not weights:
+            return float(e * n), None
+        m, i = divmod(min(weights), e)
+        block = coords[i * f : (i + 1) * f]
+        return e * m + i, [a // p ** (m - s) % p if s <= m else 0 for s, a in block]
+
     def _val_or_bound(self, x):
         """Exact valuation (int), _INF for an exact zero, or the float lower
         bound e * n for an element zero modulo p^n O.  A nonzero coordinate
         known modulo p^n weighs less than e * n, so no vanished coordinate
         can undercut the least nonzero weight."""
-        v, N, _ = x
-        if v >= N:
-            return _INF if N == _INF else float(self.e * N)
-        if self.degree == 1:
-            return v
-        e, f, p = self.e, self.f, self.p
-        n, coords = self._basis_coords(x)
-        weights = [e * (s + _vp(a, p)) + k // f for k, (s, a) in enumerate(coords) if a]
-        return min(weights) if weights else float(e * n)
+        return self._read(x)[0]
+
+    def _lead(self, x):
+        """(v, r): v as in _val_or_bound and, for an int v = e*m + i, r the
+        residue of x / pi^v, the leading digits times ubar^m (else None)."""
+        v, digits = self._read(x)
+        if digits is None:
+            return v, None
+        return v, tuple(self._twist(v // self.e, digits) if v // self.e else digits)
+
+    def _twist(self, m: int, s) -> list[int]:
+        """ubar^m * s on the residue field, ubar the residue of p / pi^e =
+        1/eta: the matrix of eta-bar, whose columns are the residues of the
+        units eta * r_j, to the power k = -m modulo q - 1, applied to s."""
+        def build():
+            eta = self._ladder("eta", 1)
+            cols = [self.residue_of(self._mul(eta, r)) for r in self._residue_basis]
+            return FpMatrix(self.p, np.array(cols).T)
+
+        eta_bar, k = _memo(self._caches, "eta_bar", build), -m % (self.q - 1)
+        rows = _memo(self._caches, ("twist", k), lambda: (eta_bar**k).entries.tolist())
+        return [sum(map(operator.mul, row, s)) % self.p for row in rows]
 
     def _settle(self):
         """Finish a Kummer top once its uniformizer and residue basis are
@@ -824,17 +868,16 @@ class LocalField:
         unit eta = pi^e / p: one product of two ladder entries, shifted by
         m, never less precise than a power of 1/pi (pi^-7 on Q5(zeta5) is
         known to p^21, a binary power of 1/pi to p^19)."""
-        cache = self._caches.setdefault("pi_pows", {})
-        x = cache.get(k)
-        if x is None:
+        def build():
             m, r = divmod(k, self.e)
             x = self._ladder("pi", r)
-            if m:
-                eta = self._ladder("eta" if m > 0 else "1/eta", abs(m))
-                v, N, ints = self._mul(x, eta) if r else eta
-                x = (v + m, N + m, ints)
-            cache[k] = x
-        return PadicElement(self, x)
+            if not m:
+                return x
+            eta = self._ladder("eta" if m > 0 else "1/eta", abs(m))
+            v, N, ints = self._mul(x, eta) if r else eta
+            return (v + m, N + m, ints)
+
+        return PadicElement(self, _memo(self._caches.setdefault("pi_pows", {}), k, build))
 
     def _ladder(self, name: str, i: int):
         """base^i, i >= 0, from a per-field list of the powers of one base,
@@ -892,47 +935,30 @@ class LocalField:
 
     def residue_of(self, x) -> tuple:
         """Coordinates of x mod the maximal ideal over the residue basis."""
-        data = x.data if isinstance(x, PadicElement) else x
-        p, f = self.p, self.f
-        if data[0] >= data[1]:  # its ints all vanish
-            if data[1] < 1:
-                raise PrecisionError("residue undetermined (non-integral input?)")
-            return (0,) * f
-        out, (n, coords) = [], self._basis_coords(data)
-        for k, (s, a) in enumerate(coords):
-            # integral needs every v_p(c_ij) >= 0; the i = 0 block also needs its digit mod p
-            if a:
-                w = _vp(a, p)
-                if s + w < 0:
-                    raise PrecisionError("residue undetermined (non-integral input?)")
-                if k < f:
-                    out.append(a // p**w % p if s + w == 0 else 0)
-            elif n < (1 if k < f else 0):
-                raise PrecisionError("residue undetermined (non-integral input?)")
-            elif k < f:
-                out.append(0)
-        return tuple(out)
+        v, digits = self._read(x.data if isinstance(x, PadicElement) else x)
+        # a negative valuation, or zero known modulo less than p^1
+        if (v < 0) if isinstance(v, int) else (v < self.e):
+            raise PrecisionError("residue undetermined (non-integral input?)")
+        return tuple(digits) if v == 0 else (0,) * self.f
 
     def _rep_raw(self, coords):
         """The lift sum c_j * r_j of residue coordinates, cached per tuple."""
-        coords = tuple(coords)
-        cache = self._caches.setdefault("reps", {})
-        rep = cache.get(coords)
-        if rep is None:
-            rep = self._zero_raw()
-            for c, b in zip(coords, self._residue_basis):
-                if c:
-                    rep = self._add(rep, self._mul(self._int_raw(c), b))
-            cache[coords] = rep
-        return rep
+        def build():
+            pairs = zip(coords, self._residue_basis)
+            terms = [self._mul(self._int_raw(c), b) for c, b in pairs if c]
+            return functools.reduce(self._add, terms, self._zero_raw())
+
+        return _memo(self._caches.setdefault("reps", {}), tuple(coords), build)
 
     def teichmueller(self, x: PadicElement) -> PadicElement:
         """The (q-1)-th root of unity congruent to the unit x."""
         if x.field is not self:
             raise InputError("element belongs to a different field")
-        if x.valuation() != 0:
+        v, coords = self._lead(x.data)
+        if not isinstance(v, int):
+            raise _valuation_error(v)
+        if v != 0:
             raise InputError("Teichmueller lift requires a unit")
-        coords = self.residue_of(x)
         cache = self._caches.setdefault("teich", {})
         if coords not in cache:
             y = self._rep_raw(coords)
@@ -947,31 +973,23 @@ class LocalField:
             cache[coords] = y
         return PadicElement(self, cache[coords])
 
-    def _ubar(self) -> tuple:
-        """Residue coordinates of p * pi^-e = 1/eta, the unit at the wild level."""
-        return self.residue_of(self._ladder("1/eta", 1))
-
     def _one_plus(self, coords: tuple, k: int):
         """The principal unit 1 + rep(coords) * pi^k."""
         term = self._mul(self._rep_raw(coords), self.pi_pow(k).data)
         return self._add(self._one_raw(), term)
 
-    def _res_mul(self, a: tuple, b: tuple) -> tuple:
-        return self.residue_of(self._mul(self._rep_raw(a), self._rep_raw(b)))
-
     def _res_pow(self, a: tuple, k: int) -> tuple:
         return self.residue_of(self._pow_raw(self._rep_raw(a), k))
 
     def _as_matrix(self) -> FpMatrix:
-        """The F_p-linear map s -> s^p + ubar * s on the residue field."""
+        """The F_p-linear map s -> s^p + ubar * s on the residue field, ubar
+        the residue of p / pi^e, the unit at the wild level."""
         mat = self._caches.get("as_matrix")
         if mat is None:
-            ubar, cols = self._ubar(), []
-            for i in range(self.f):
-                s = tuple(int(j == i) for j in range(self.f))
-                cols.append(np.add(self._res_pow(s, self.p), self._res_mul(ubar, s)))
-            mat = FpMatrix(self.p, np.array(cols, dtype=np.int64).T)
-            self._caches["as_matrix"] = mat
+            f = self.f
+            units = [tuple(int(j == i) for j in range(f)) for i in range(f)]
+            cols = [np.add(self._res_pow(s, self.p), self._twist(1, s)) for s in units]
+            mat = self._caches["as_matrix"] = FpMatrix(self.p, np.array(cols).T)
         return mat
 
     # -- p-th power testing --------------------------------------------------------
@@ -986,35 +1004,24 @@ class LocalField:
         u = t^p * (1 + O(pi^level)).
         """
         p, w = self.p, self.wild
-        coords = self.residue_of(u_data)
         k_inv = pow(p, -1, self.q - 1) if self.q > 2 else 1
-        t = self._pow_raw(self.teichmueller(PadicElement(self, self._rep_raw(coords))).data, k_inv)
+        t = self._pow_raw(self.teichmueller(PadicElement(self, u_data)).data, k_inv)
         for _ in range(w + 3):
             ratio = self._mul(u_data, self._inv(self._pow_raw(t, p)))
-            d = self._add(ratio, self._neg(self._one_raw()))
-            v = self._val_or_bound(d)
-            if v == _INF:
+            mu, c = self._lead(self._add(ratio, self._neg(self._one_raw())))
+            if mu == _INF or mu > w:
                 return ("power", t)
-            if not isinstance(v, int):
-                if v > w:
-                    return ("power", t)
+            if not isinstance(mu, int):
                 raise PrecisionError("p-th power test undetermined at working precision")
-            mu = v
-            if mu > w:
-                return ("power", t)
-            c = self.residue_of(self._mul(d, self.pi_pow(-mu).data))
-            if mu == w:
-                sol = fp_solve(self._as_matrix(), np.array(c, dtype=np.int64))
-                if sol is None:
-                    return ("unramified", t, w // p)
-                s = tuple(int(x) for x in sol)
-                level = w // p
-            elif mu % p == 0:
-                s = self._res_pow(c, self.q // p)
-                level = mu // p
-            else:
+            if mu % p and mu < w:
                 return ("ramified", t, mu)
-            t = self._mul(t, self._one_plus(s, level))
+            if mu == w:
+                s = fp_solve(self._as_matrix(), np.array(c, dtype=np.int64))
+                if s is None:
+                    return ("unramified", t, w // p)
+            else:
+                s = self._res_pow(c, self.q // p)
+            t = self._mul(t, self._one_plus(tuple(int(a) for a in s), mu // p))
         raise MathCheckError("p-th root defect loop failed to terminate")  # pragma: no cover
 
     def is_pth_power(self, x: PadicElement) -> bool:
@@ -1033,11 +1040,7 @@ class LocalField:
 
     @property
     def has_mu_p(self) -> bool:
-        val = self._caches.get("has_mu_p")
-        if val is None:
-            val = self._detect_mu_p()
-            self._caches["has_mu_p"] = val
-        return val
+        return _memo(self._caches, "has_mu_p", self._detect_mu_p)
 
     @property
     def zeta(self) -> PadicElement | None:
@@ -1054,11 +1057,8 @@ class LocalField:
         if self.e % (p - 1):
             return False
         mu0 = self.e // (p - 1)
-        root = None
-        for vec in kernel(self._as_matrix()).vectors():
-            if vec.any():
-                root = tuple(int(c) for c in vec)
-                break
+        vecs = kernel(self._as_matrix()).vectors()
+        root = next((tuple(int(c) for c in v) for v in vecs if v.any()), None)
         if root is None:
             return False
         x = self._one_plus(root, mu0)
@@ -1074,14 +1074,12 @@ class LocalField:
         p = self.p
         newton_floor = 2 * self.e * (p - 2) // (p - 1) + mu0
         for _ in range(3 * self.wild + 30):
-            d = self._add(self._pow_raw(x, p), self._neg(self._one_raw()))
-            dv = self._val_or_bound(d)
+            dv, s = self._lead(self._add(self._pow_raw(x, p), self._neg(self._one_raw())))
             if dv == _INF or not isinstance(dv, int):
                 return x
             if dv > newton_floor:
                 break
-            s = self.residue_of(self._mul(d, self.pi_pow(-dv).data))
-            t = self._res_mul(self._res_pow(self._ubar(), self.q - 2), tuple(-c % p for c in s))
+            t = tuple(self._twist(-1, [-c for c in s]))  # -s / ubar
             x = self._mul(x, self._one_plus(t, dv - self.e))
         for _ in range(60):
             h, hp = self._cyclotomic_and_derivative(x)
@@ -1092,11 +1090,7 @@ class LocalField:
         d = self._add(self._pow_raw(x, p), self._neg(self._one_raw()))
         if isinstance(self._val_or_bound(d), int):
             return None
-        one_diff = self._add(x, self._neg(self._one_raw()))
-        v = self._val_or_bound(one_diff)
-        if v != mu0:
-            return None
-        return x
+        return x if self._val_or_bound(self._add(x, self._neg(self._one_raw()))) == mu0 else None
 
     def _cyclotomic_and_derivative(self, x):
         """h(x) = 1 + x + ... + x^{p-1} and its derivative at x."""
@@ -1131,7 +1125,7 @@ class LocalField:
         entries = [_K1Entry("pi", None, self._pi, pi_label)]
         zeta = self.zeta.data
         zd = self._add(zeta, self._neg(self._one_raw()))
-        zlevel = self._val_or_bound(zd)
+        zlevel, zres = self._lead(zd)
         for mu in range(1, w + 1):
             if mu % p == 0 and mu < w:
                 continue
@@ -1153,7 +1147,6 @@ class LocalField:
             # lives here, then principal units over the residue basis
             cands: list[tuple] = []
             if zlevel == mu:
-                zres = self.residue_of(self._mul(zd, self.pi_pow(-mu).data))
                 zlab = "-1" if p == 2 else "zeta"
                 cands.append((zeta, zres, zlab))
             for i in range(f):
@@ -1190,50 +1183,45 @@ class LocalField:
     def _level_matrix(self, mu: int) -> FpMatrix:
         """Residues of the level-mu basis entries, as columns, followed at
         the wild level by the columns of s -> s^p + ubar * s."""
-        cache = self._caches.setdefault("level_matrices", {})
-        if mu not in cache:
-            cols = [e.residue for e in self.k1_structure() if e.level == mu]
-            cols = np.array(cols, dtype=np.int64).T
+        def build():
+            cols = np.array([e.residue for e in self.k1_structure() if e.level == mu]).T
             if mu == self.wild:
                 cols = np.hstack([cols, self._as_matrix().entries])
-            cache[mu] = FpMatrix(self.p, cols)
-        return cache[mu]
+            return FpMatrix(self.p, cols)
+
+        return _memo(self._caches.setdefault("level_matrices", {}), mu, build)
 
     def k1_coords(self, x: PadicElement) -> list[int]:
         """Discrete log in F^x/(F^x)^p over the k1_structure basis, by
         peeling the unit filtration with no inverse: x = (recorded basis
         product) * (p-th powers) * u throughout, and u is cleared by its
         Teichmueller lift to the q - 2, basis entries to the p - c, and
-        (1 + t * pi^l)^p, t the negated residue solution, where p divides the level."""
+        (1 + t * pi^l)^p, t the negated residue solution, where p divides the
+        level.  One _lead reads each level; factors and solves are cached."""
         if x.field is not self:
             raise InputError("element belongs to a different field")
         entries = self.k1_structure()
-        p, w = self.p, self.wild
+        p, w, caches = self.p, self.wild, self._caches
         coords = [0] * len(entries)
         index = {}  # positions by level; the uniformizer entry comes first
         for pos, e in enumerate(entries):
             index.setdefault(e.level, []).append(pos)
-        v = x.valuation()
+        v, r = self._lead(x.data)
+        if not isinstance(v, int):
+            raise _valuation_error(v)
         coords[0] = v % p
-        u = self._mul(x.data, self.pi_pow(-v).data)
-        r = self.residue_of(u)
-        # clearing factors, in dicts of their own: by residue, by (position, c)
-        teich = self._caches.setdefault("k1_teich", {})
-        if r not in teich:
-            lift = self.teichmueller(PadicElement(self, self._rep_raw(r))).data
-            teich[r] = self._pow_raw(lift, self.q - 2)
-        powers = self._caches.setdefault("k1_powers", {})
-
-        def clear(pos: int, c: int):
-            if (pos, c) not in powers:
-                powers[pos, c] = self._pow_raw(entries[pos].data, p - c)
-            return powers[pos, c]
-
-        u, dv = self._mul(u, teich[r]), None
+        u = self._mul(x.data, self.pi_pow(-v).data) if v else x.data
+        # clearing factors, in dicts of their own: by residue, by (position,
+        # c), by (t, l); level solves by (level, residue)
+        teich, powers = caches.setdefault("k1_teich", {}), caches.setdefault("k1_powers", {})
+        pth, solves = caches.setdefault("k1_pth", {}), caches.setdefault("k1_solves", {})
+        if r != (1,) + (0,) * (self.f - 1):  # the residue of r_0 = 1 lifts to 1
+            u = self._mul(u, _memo(teich, r, lambda: self._pow_raw(
+                self.teichmueller(PadicElement(self, self._rep_raw(r))).data, self.q - 2)))
+        one, dv = self._one_raw(), None
         for mu in range(1, w + 1):
             if dv is None:  # u changed: read its level again
-                d = self._add(u, self._neg(self._one_raw()))
-                dv = self._val_or_bound(d)
+                dv, c = self._lead(self._add(u, self._neg(one)))
             if dv == _INF or dv > w:
                 break
             if not isinstance(dv, int):
@@ -1242,27 +1230,37 @@ class LocalField:
                 continue
             if dv < mu:
                 raise MathCheckError("unit filtration peel missed a level")
-            c = self.residue_of(self._mul(d, self.pi_pow(-mu).data))
-            if mu % p == 0 and mu < w:
-                s, level = self._res_pow(c, self.q // p), mu // p
-            else:
-                sol = fp_solve(self._level_matrix(mu), np.array(c, dtype=np.int64))
-                if sol is None:  # pragma: no cover
-                    raise MathCheckError(f"level-{mu} slots do not cover the graded piece")
-                for k, pos in enumerate(index[mu]):
-                    ck = coords[pos] = int(sol[k])
-                    if ck:
-                        u, dv = self._mul(u, clear(pos, ck)), None
-                if mu < w:
-                    continue
-                s, level = tuple(int(t) for t in sol[len(index[mu]):]), w // p
-            t = tuple(-c % p for c in s)
-            u, dv = self._mul(u, self._pow_raw(self._one_plus(t, level), p)), None
-        d = self._add(u, self._neg(self._one_raw()))
-        dv = self._val_or_bound(d)
+            slots = index.get(mu, [])
+            cs, t = _memo(solves, (mu, c), lambda: self._k1_solve(mu, c, len(slots)))
+            for pos, ck in zip(slots, cs):
+                coords[pos] = ck
+                if ck:
+                    data = entries[pos].data
+                    clear = _memo(powers, (pos, ck), lambda: self._pow_raw(data, p - ck))
+                    u, dv = self._mul(u, clear), None
+            if t:
+                l = mu // p
+                clear = _memo(pth, (t, l), lambda: self._pow_raw(self._one_plus(t, l), p))
+                u, dv = self._mul(u, clear), None
+        dv = self._val_or_bound(self._add(u, self._neg(one)))
         if isinstance(dv, int) and dv <= w:
             raise MathCheckError("unit filtration peel left a sub-wild residual")
         return coords
+
+    def _k1_solve(self, mu: int, c: tuple, k: int):
+        """The peel at level mu, which carries k basis entries, for the
+        leading residue c of u - 1: the entries' coordinates, and the negated
+        residue t of the factor (1 + t * pi^(mu/p))^p, None if u needs none."""
+        p, w = self.p, self.wild
+        if mu % p == 0 and mu < w:
+            cs, s = [], self._res_pow(c, self.q // p)
+        else:
+            sol = fp_solve(self._level_matrix(mu), np.array(c, dtype=np.int64))
+            if sol is None:  # pragma: no cover
+                raise MathCheckError(f"level-{mu} slots do not cover the graded piece")
+            cs, s = [int(a) for a in sol[:k]], sol[k:]  # s is empty below the wild level
+        t = tuple(int(-a % p) for a in s)
+        return cs, t if any(t) else None
 
     def k1_element(self, coords) -> PadicElement:
         """Product of basis powers with the given exponents."""

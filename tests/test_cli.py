@@ -343,6 +343,8 @@ def test_report_json_matches_the_standard_encoder():
         (["verify", "--preset", "Q3zeta3", "--a", "uniformizer", "--n", "0", "1", "2", "3", "4"],
          22),
         (["invariants", "--spec", TWO_STEP_SPEC, "--a", "[[1, 1], [0, 1]]"], 26),
+        # the degree-20 and degree-100 tops, whose cap counts p-digits
+        (["verify", "--preset", "Q5zeta5", "--a", "uniformizer"], 30),
     ],
 )
 def test_doubling_the_precision_changes_no_result(capsys, argv, default):

@@ -2,10 +2,11 @@
 
 The oracles are the earlier routes, kept here: pi^k as a binary power of
 pi (of 1/pi for k < 0, one inverse per call) with its shift raised to
-k // e, and the norm as the sequential product of the p conjugates
-sigma(x), sigma^2(x), ...  The discrete log is checked by its defining
-property instead: coordinates over F^x / (F^x)^p do not move when x is
-multiplied by a p-th power.
+k // e, the norm as the sequential product of the p conjugates sigma(x),
+sigma^2(x), ..., and the leading residue as the residue of x * pi^-v, a
+product and a second pass of T.  The discrete log is checked by its
+defining property instead: coordinates over F^x / (F^x)^p do not move
+when x is multiplied by a p-th power.
 """
 
 import functools
@@ -14,6 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knorm import milnor
 from knorm.errors import MathCheckError
 from knorm.padic import KummerExtension, LocalField, PadicElement
 from knorm.presets import FIELD_PRESETS
@@ -44,6 +46,50 @@ FIELDS = {
 @functools.lru_cache(maxsize=None)
 def field(name):
     return FIELDS[name]()
+
+
+def _f27_top():
+    """A degree-p^2 top whose residue field is F_27: the cube root of the
+    uniformizer over the unramified cubic extension of Q3zeta3, the one
+    adjoining a cube root of its wild basis entry 1 + pi^3."""
+    base = _base("Q3zeta3")
+    wild = next(entry for entry in base.k1_structure() if entry.kind == "top")
+    middle = KummerExtension(base, PadicElement(base, wild.data)).top
+    top = KummerExtension(middle, middle.pi).top
+    assert (top.degree, top.f) == (18, 3)
+    return top
+
+
+# fields the leading-residue oracle also reads: the F_27 top, and a field
+# whose ubar, the residue of 5 / pi^4 = 1/2, has order 4, so that ubar^m
+# and ubar^-m differ
+READ_FIELDS = {
+    "Q3zeta3(cbrt(1 + pi^3))(cbrt pi), f = 3": _f27_top,
+    "Q5(10^(1/4))": lambda: LocalField(5, [{"kind": "eisenstein", "coeffs": [-10, 0, 0, 0]}]),
+}
+
+
+def old_lead(f, x):
+    """The earlier route to the leading residue: the valuation, then the
+    residue of x * pi^-v, read off a second pass of T."""
+    v = f._val_or_bound(x)
+    return v, f.residue_of(f._mul(x, f.pi_pow(-v).data))
+
+
+@pytest.mark.parametrize("name", list(FIELDS) + list(READ_FIELDS))
+def test_one_read_gives_the_valuation_and_the_leading_residue(name):
+    f = field(name) if name in FIELDS else READ_FIELDS[name]()
+    rng, twisted = random.Random(name), 0
+    for shift in range(-f.e, 3 * f.e + 1, max(1, f.e // 4)):
+        ints = [rng.randrange(-40, 41) for _ in range(f.degree)]
+        x = f._mul(f._from_ints(ints) if any(ints) else f._one_raw(), f.pi_pow(shift).data)
+        v, residue = f._lead(x)
+        assert (v, residue) == old_lead(f, x), shift
+        assert any(residue)  # so v is the valuation: x * pi^-v is a unit
+        twisted += tuple(f._read(x)[1]) != residue
+    # shifts reach 3e, past e, where ubar^m twists the digits unless ubar = 1
+    one = [1] + [0] * (f.f - 1)
+    assert twisted or f._twist(1, one) == one
 
 
 def binary_pi_pow(f, k):
@@ -115,6 +161,36 @@ EXTENSIONS = {2: ("Q2sqrt2", "pi"), 3: ("Q3zeta3", "pi"), 5: ("Q5zeta5", "pi")}
 @functools.lru_cache(maxsize=None)
 def extension(p):
     return _ext(*EXTENSIONS[p])
+
+
+@pytest.mark.parametrize("preset, a", [("Q3zeta3", 4), ("Q5zeta5", "pi")])
+def test_projection_formula_check_inverts_nothing_on_degree_p2_tops(preset, a, monkeypatch):
+    """The degree-p^2 tops read ubar as eta-bar^(q-2) and their leading
+    residues off one pass of T, so they need no negative power of pi."""
+    base = _base(preset)
+    ext = milnor.get_extension(base, base.pi if a == "pi" else base.element(a))
+    inv, inverted = LocalField._inv, []
+
+    def counting(self, x):
+        inverted.append(self)
+        return inv(self, x)
+
+    monkeypatch.setattr(LocalField, "_inv", counting)
+    passed, _ = milnor.projection_formula_check(ext)
+    tops = [sub.top for sub in ext.top._caches["kummer_exts"].values()]
+    assert passed and tops and all(t.degree == base.degree * base.p**2 for t in tops)
+    assert not [f for f in inverted if any(f is t for t in tops)]
+
+
+@pytest.mark.parametrize("precision", [None, 60])
+def test_cap_counts_p_digits_on_the_degree_100_top(precision):
+    """cap is ceil(prec / e) + 16 p-digits; the wild bound, 125 uniformizer
+    digits here, no longer enters it (it made cap 141 at both precisions)."""
+    base = LocalField(5, FIELD_PRESETS["Q5zeta5"]["steps"], precision)
+    middle = KummerExtension(base, base.pi).top
+    top = KummerExtension(middle, middle.pi).top
+    assert (top.degree, top.e, top.wild) == (100, 100, 125)
+    assert top.cap == -(-top.prec // top.e) + 16 == 22
 
 
 @pytest.mark.parametrize("p", list(EXTENSIONS))
