@@ -169,7 +169,7 @@ def dim_HN_formula(profile: CohomologyProfile, i: int, variant: str = "c") -> in
         # the quotient of the corestriction image by the cup image is read
         # as a dimension difference: for p = 2 the cup image need not be
         # contained in the corestriction image
-        return base + p * (ctx.norm_image.dim - ctx.cup_image.dim)
+        return base + p * (ctx.norm.image().dim - ctx.cup.image().dim)
     raise InputError(f"unknown variant {variant!r}")
 
 
@@ -246,17 +246,20 @@ def _chi_free(profile: CohomologyProfile) -> int | None:
     )
 
 
+MAX_CLASSES = 3906  # the class count of the largest preset, Q5(zeta_5)
+
+
 def enumerate_extension_classes(field: LocalField) -> list[KummerExtension]:
     """All Kummer extensions of the field, one per line of k_1.
 
-    The count is (p^dim - 1)/(p - 1); enumeration is refused above
-    dimension 8 where it stops being desk-sized.
+    The count is (p^dim - 1)/(p - 1); above dimension 8 or MAX_CLASSES
+    classes it is refused, before any top is built.
     """
     grp = k_group(field, 1)
-    if grp.dim > 8:
+    expected = (field.p**grp.dim - 1) // (field.p - 1)
+    if grp.dim > 8 or expected > MAX_CLASSES:
         raise UnsupportedOperationError(
-            f"enumerating {(field.p**grp.dim - 1) // (field.p - 1)} extensions "
-            "is above the supported size"
+            f"enumerating {expected} extensions is above the supported size"
         )
     exts = []
     seen = set()
@@ -268,7 +271,6 @@ def enumerate_extension_classes(field: LocalField) -> list[KummerExtension]:
             continue
         seen.add(key)
         exts.append(get_extension(field, cls))
-    expected = (field.p**grp.dim - 1) // (field.p - 1)
     if len(exts) != expected:
         raise MathCheckError(f"enumerated {len(exts)} extensions, expected {expected}")
     return exts

@@ -4,11 +4,15 @@ All matrices are numpy int64 arrays with entries reduced mod p.  Subspaces
 are stored in reduced row-echelon form, which is unique, so two subspaces
 are equal iff their stored bases are identical arrays.  That canonicality
 is what makes every "choose a complement" step elsewhere in the package
-reproducible.
+reproducible.  Each subspace also keeps its pivot columns, so membership
+needs no elimination, and kernel and intersect_and_sum (Zassenhaus) are
+one echelon split each.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -155,9 +159,10 @@ class FpMatrix:
 
 
 class Subspace:
-    """A subspace of F_p^n, stored by its reduced row-echelon basis."""
+    """A subspace of F_p^n, stored by its reduced row-echelon basis and the
+    pivot columns: x lies in the span iff x = x[pivots] @ basis."""
 
-    __slots__ = ("p", "ambient_dim", "basis")
+    __slots__ = ("p", "ambient_dim", "basis", "pivots")
 
     def __init__(self, p: int, ambient_dim: int, vectors=None) -> None:
         self.p = _check_prime(p)
@@ -166,15 +171,22 @@ class Subspace:
             vecs = np.zeros((0, self.ambient_dim), dtype=np.int64)
         else:
             vecs = np.asarray(vectors, dtype=np.int64).reshape(-1, self.ambient_dim)
-        self.basis, _ = rref(vecs, self.p)
+        self.basis, self.pivots = rref(vecs, self.p)
+
+    @classmethod
+    def _echelon(cls, p: int, basis: np.ndarray, pivots: list[int]) -> "Subspace":
+        """The span of rows already in reduced row-echelon form, unchecked."""
+        sub = cls.__new__(cls)
+        sub.p, sub.ambient_dim, sub.basis, sub.pivots = p, basis.shape[1], basis, pivots
+        return sub
 
     @classmethod
     def zero(cls, p: int, n: int) -> "Subspace":
-        return cls(p, n)
+        return cls._echelon(_check_prime(p), np.zeros((0, n), dtype=np.int64), [])
 
     @classmethod
     def full(cls, p: int, n: int) -> "Subspace":
-        return cls(p, n, np.eye(n, dtype=np.int64))
+        return cls._echelon(_check_prime(p), np.eye(n, dtype=np.int64), list(range(n)))
 
     @property
     def dim(self) -> int:
@@ -193,23 +205,18 @@ class Subspace:
         v = np.asarray(vec, dtype=np.int64) % self.p
         if v.shape != (self.ambient_dim,):
             raise InputError("vector has wrong length")
-        stacked, _ = rref(np.vstack([self.basis, v.reshape(1, -1)]), self.p)
-        return stacked.shape[0] == self.dim
+        return not ((v - v[self.pivots] @ self.basis) % self.p).any()
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        stacked, _ = rref(np.vstack([other.basis, self.basis]), other.p)
-        return stacked.shape[0] == other.dim
+        rows = self.basis
+        return not ((rows - rows[:, other.pivots] @ other.basis) % self.p).any()
 
     def vectors(self):
-        """Iterate over all p^dim vectors of the subspace (small spaces only)."""
-        coeffs = np.zeros(self.dim, dtype=np.int64)
-        for idx in range(self.p**self.dim):
-            k = idx
-            for i in range(self.dim):
-                coeffs[i] = k % self.p
-                k //= self.p
-            yield (coeffs @ self.basis) % self.p
+        """Iterate over all p^dim vectors of the subspace (small spaces
+        only), the first coefficient running fastest."""
+        for coeffs in itertools.product(range(self.p), repeat=self.dim):
+            yield (np.array(coeffs[::-1], dtype=np.int64) @ self.basis) % self.p
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
@@ -219,16 +226,20 @@ class Subspace:
         return f"Subspace(p={self.p}, dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _split(wide: np.ndarray, p: int, cut: int) -> tuple[Subspace, Subspace]:
+    """One elimination of [L | R], R from column ``cut``: the echelon rows
+    with a pivot in L span the rows of L, and those with a pivot in R,
+    zero on L, span the rest on R.  Both halves are in echelon form, and
+    copied so that a kept subspace does not hold the wide matrix."""
+    red, pivots = rref(wide, p)
+    r = bisect.bisect_left(pivots, cut)
+    return (Subspace._echelon(p, red[:r, :cut].copy(), pivots[:r]),
+            Subspace._echelon(p, red[r:, cut:].copy(), [c - cut for c in pivots[r:]]))
+
+
 def kernel(m: FpMatrix) -> Subspace:
     """Null space of a matrix."""
-    p, cols = m.p, m.cols
-    red, pivots = rref(m.entries, p)
-    free = sorted(set(range(cols)) - set(pivots))
-    kvecs = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        kvecs[k, f] = 1
-        kvecs[k, pivots] = (-red[:, f]) % p
-    return Subspace(p, cols, kvecs)
+    return kernel_image(m)[0]
 
 
 def image(m: FpMatrix) -> Subspace:
@@ -237,23 +248,20 @@ def image(m: FpMatrix) -> Subspace:
 
 
 def kernel_image(m: FpMatrix) -> tuple[Subspace, Subspace]:
-    """(kernel(m), image(m)), for a caller that reads both."""
-    return kernel(m), image(m)
+    """(kernel(m), image(m)) from one split of [m^T | I], whose rows combine
+    to (m x, x): the kernel on the right, the image on the left."""
+    wide = np.hstack([m.entries.T, np.eye(m.cols, dtype=np.int64)])
+    img, kern = _split(wide, m.p, m.rows)
+    return kern, img
 
 
 def intersect_and_sum(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
-    """(a ∩ b, a + b), with the dimension formula enforced."""
+    """(a ∩ b, a + b) by Zassenhaus: one split of [[A, A], [B, 0]], whose
+    rows combine to (x + y, x) for x in a and y in b, with the dimension
+    formula enforced."""
     a._check_compatible(b)
-    p, n = a.p, a.ambient_dim
-    total = Subspace(p, n, np.vstack([a.basis, b.basis]))
-    if a.dim == 0 or b.dim == 0:
-        inter = Subspace.zero(p, n)
-    else:
-        # Solutions (u, v) of u*A = v*B give intersection vectors u*A.
-        stacked = np.vstack([a.basis, (-b.basis) % p]).T  # n x (da+db)
-        kern = kernel(FpMatrix(p, stacked))
-        inter_vecs = (kern.basis[:, : a.dim] @ a.basis) % p
-        inter = Subspace(p, n, inter_vecs)
+    wide = np.block([[a.basis, a.basis], [b.basis, np.zeros_like(b.basis)]])
+    total, inter = _split(wide, a.p, a.ambient_dim)
     if inter.dim + total.dim != a.dim + b.dim:
         raise MathInternal("dimension formula for sum/intersection violated")
     return inter, total
@@ -267,13 +275,12 @@ def complement(inner: Subspace, outer: Subspace) -> Subspace:
     columns of the transposed stack.  The selection is canonical for given
     inputs.
     """
-    inner._check_compatible(outer)
     if not inner.is_subspace_of(outer):
         raise InputError("complement requires inner to be contained in outer")
-    p, n = inner.p, inner.ambient_dim
     stacked = np.vstack([inner.basis, outer.basis])
-    _, pivots = rref(stacked.T, p)
-    comp = Subspace(p, n, stacked[[i for i in pivots if i >= inner.dim]])
+    # rows picked from outer's echelon basis are in echelon form themselves
+    picked = [i - inner.dim for i in rref(stacked.T, inner.p)[1] if i >= inner.dim]
+    comp = Subspace._echelon(inner.p, outer.basis[picked], [outer.pivots[i] for i in picked])
     inter, total = intersect_and_sum(comp, inner)
     if inter.dim != 0 or total != outer:
         raise MathInternal("complement construction failed")  # pragma: no cover

@@ -5,6 +5,8 @@ fixed generator sigma satisfying sigma^p = 1.  The central operation
 splits such a module into cyclic summands of lengths 1..p by reverse
 induction on the filtration (sigma-1)^i M ∩ M^G, optionally seeded with
 externally chosen complements so callers can pin particular summands.
+A GModule keeps in ``subspaces`` its fixed part, the images of the
+powers of sigma - 1 and that filtration, each computed once, on first use.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "Decomposition",
     "fixed_points",
     "omega_image",
+    "fixed_filtration",
     "length_of",
     "norm_operator",
     "decompose",
@@ -43,7 +46,7 @@ class GModule:
     matrix failing either is rejected.
     """
 
-    __slots__ = ("p", "dim", "sigma", "_shift_powers")
+    __slots__ = ("p", "dim", "sigma", "_shift_powers", "subspaces")
 
     def __init__(self, p: int, sigma) -> None:
         mat = sigma if isinstance(sigma, FpMatrix) else FpMatrix(p, sigma)
@@ -64,6 +67,7 @@ class GModule:
         if powers[p] != FpMatrix.zero(p, self.dim, self.dim):
             raise InputError("(sigma - 1)^p is not zero")
         self._shift_powers = powers
+        self.subspaces: dict = {}
 
     @classmethod
     def trivial(cls, p: int, dim: int) -> "GModule":
@@ -130,12 +134,27 @@ class Decomposition:
 
 def fixed_points(m: GModule) -> Subspace:
     """M^G, the kernel of sigma - 1."""
-    return kernel(m.shift_power(1))
+    if "fixed" not in m.subspaces:
+        m.subspaces["fixed"] = kernel(m.shift_power(1))
+    return m.subspaces["fixed"]
 
 
 def omega_image(m: GModule, i: int) -> Subspace:
     """Image of (sigma - 1)^i; the whole space for i = 0, zero for i = p."""
-    return image(m.shift_power(i))
+    key = ("image", i)
+    if key not in m.subspaces:
+        m.subspaces[key] = image(m.shift_power(i))
+    return m.subspaces[key]
+
+
+def fixed_filtration(m: GModule) -> list[Subspace]:
+    """K_i = image((sigma-1)^i) ∩ M^G for i = 0..p (K_0 = M^G, K_p = 0)."""
+    if "filtration" not in m.subspaces:
+        mg = fixed_points(m)
+        m.subspaces["filtration"] = [mg] + [
+            intersect_and_sum(omega_image(m, i), mg)[0] for i in range(1, m.p + 1)
+        ]
+    return m.subspaces["filtration"]
 
 
 def length_of(m: GModule, v) -> int:
@@ -163,7 +182,9 @@ def norm_operator(m: GModule) -> FpMatrix:
 
 
 def multiplicity_oracle(m: GModule) -> SummandProfile:
-    """Block multiplicities from ranks alone: m_i = r_{i-1} - 2 r_i + r_{i+1}."""
+    """Block multiplicities from ranks alone: m_i = r_{i-1} - 2 r_i + r_{i+1},
+    with the ranks taken afresh, not from the kept images, so that the
+    profile has a route independent of the filtration decompose reads."""
     ranks = [m.dim]
     for i in range(1, m.p + 1):
         ranks.append(m.shift_power(i).rank())
@@ -172,21 +193,11 @@ def multiplicity_oracle(m: GModule) -> SummandProfile:
     return SummandProfile(m.p, mult)
 
 
-def _fixed_filtration(m: GModule) -> list[Subspace]:
-    """K_i = image((sigma-1)^i) ∩ M^G for i = 0..p (K_0 = M^G, K_p = 0)."""
-    mg = fixed_points(m)
-    out = [mg]
-    for i in range(1, m.p + 1):
-        inter, _ = intersect_and_sum(omega_image(m, i), mg)
-        out.append(inter)
-    return out
-
-
 def decompose(m: GModule, seeds: dict[int, Subspace] | None = None) -> Decomposition:
     """Split m into cyclic summands by reverse induction on the filtration.
 
     For each length i, a complement L_i of K_i inside K_{i-1} is chosen
-    (K_i as in ``_fixed_filtration``), each basis vector of L_i is lifted
+    (K_i as in ``fixed_filtration``), each basis vector of L_i is lifted
     through (sigma-1)^{i-1}, and the summand is the sigma-orbit span of
     the lift.  ``seeds`` may pin L_i for selected lengths; seeds are
     validated against the filtration before use.
@@ -195,7 +206,7 @@ def decompose(m: GModule, seeds: dict[int, Subspace] | None = None) -> Decomposi
     MathCheckError since it can only indicate a bug or a bad seed.
     """
     p, n = m.p, m.dim
-    filt = _fixed_filtration(m)
+    filt = fixed_filtration(m)
     levels: dict[int, Subspace] = {}
     for i in range(p, 0, -1):
         if seeds is not None and i in seeds:
@@ -215,9 +226,8 @@ def decompose(m: GModule, seeds: dict[int, Subspace] | None = None) -> Decomposi
     for i in range(p, 0, -1):
         gens: list[np.ndarray] = []
         rows: list[np.ndarray] = []
-        power = m.shift_power(i - 1)
         if levels[i].dim:
-            lifts = solve_many(power, levels[i].basis.T)
+            lifts = solve_many(m.shift_power(i - 1), levels[i].basis.T)
             if lifts is None:
                 raise MathCheckError(f"level-{i} vectors have no (sigma-1)^{i-1} preimage")
             # Lifts of fixed vectors are annihilated by (sigma-1)^i for free.
@@ -230,13 +240,13 @@ def decompose(m: GModule, seeds: dict[int, Subspace] | None = None) -> Decomposi
                     rows.append(orbit)
                     orbit = m.shift_power(1).apply(orbit)
         generators[i] = gens
-        basis = Subspace(p, n, np.array(rows, dtype=np.int64).reshape(-1, n) if rows else None)
+        basis = Subspace(p, n, rows)
         if basis.dim != i * len(gens):
             raise MathCheckError(f"length-{i} summands are not independent")
         summand_bases[i] = basis
         all_rows.extend(rows)
 
-    stacked = Subspace(p, n, np.array(all_rows, dtype=np.int64).reshape(-1, n) if all_rows else None)
+    stacked = Subspace(p, n, all_rows)
     if stacked.dim != n:
         raise MathCheckError("summands do not span the module")
     profile = SummandProfile(p, [levels[i].dim for i in range(1, p + 1)])
@@ -265,16 +275,9 @@ def verify_exclusion(parts: list[Subspace], ambient: GModule) -> bool:
                 raise InputError("part is not sigma-stable")
 
     def direct(subs: list[Subspace]) -> bool:
-        if not subs:
-            return True
-        total = subs[0]
-        dims = subs[0].dim
-        for s in subs[1:]:
+        total = Subspace.zero(ambient.p, ambient.dim)
+        for s in subs:
             _, total = intersect_and_sum(total, s)
-            dims += s.dim
-        return total.dim == dims
+        return total.dim == sum(s.dim for s in subs)
 
-    fixed_parts = [intersect_and_sum(part, mg)[0] for part in parts]
-    fixed_direct = direct(fixed_parts)
-    parts_direct = direct(parts)
-    return (not fixed_direct) or parts_direct
+    return not direct([intersect_and_sum(part, mg)[0] for part in parts]) or direct(parts)

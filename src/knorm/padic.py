@@ -1153,17 +1153,14 @@ class LocalField:
                 coords = tuple(1 if j == i else 0 for j in range(f))
                 data = self._one_plus(coords, mu)
                 cands.append((data, coords, self._unit_label(mu, coords, is_qp)))
-            taken: list[np.ndarray] = []
-            rank = 0
+            taken = Subspace.zero(p, f)
             for data, res, label in cands:
-                trial = taken + [np.array(res, dtype=np.int64)]
-                if Subspace(p, f, np.array(trial)).dim > rank:
+                if not taken.contains(res):
                     entries.append(_K1Entry("unit", mu, data, label, tuple(int(c) for c in res)))
-                    taken = trial
-                    rank += 1
-                if rank == f:
+                    taken = Subspace(p, f, np.vstack([taken.basis, res]))
+                if taken.dim == f:
                     break
-            if rank != f:  # pragma: no cover
+            if taken.dim != f:  # pragma: no cover
                 raise MathCheckError(f"could not fill the level-{mu} unit slots")
         if len(entries) != self.degree + 2:
             raise MathCheckError(

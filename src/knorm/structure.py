@@ -15,21 +15,24 @@ CLI prints as it is.
 Everything these steps and the Euler formulas read about one pair is
 built once, by structure_context, into a StructureContext kept in the
 extension's cache (milnor.release_caches empties it).  Its base side,
-built at once, holds the class of a, ann(a) and ann(a, xi) in k_{n-1}(F),
-the cup map with a and its images, the xi-cup image (odd p) and the norm
-map with its image.  Its Galois side, a GaloisSide that galois() builds
-on the first call since the invariants and the Euler formulas never read
-it, holds the sigma-module, its fixed part, the restriction map,
-i_f = im res, i_n = im(res . norm) and the restricted xi-cup map with
-its image (odd p).  The inclusion checks run once, as each side is
-built, and the invariants are compute_invariants of the pair, taken once.
+built at once, holds ann(a) and ann(a, xi) in k_{n-1}(F), the pinned
+complement W, the cup maps with a and (odd p) with xi, the cup image of
+ann(a, xi), and the norm map.  Its Galois side, a GaloisSide that
+galois() builds on the first call since the invariants and the Euler
+formulas never read it, holds the sigma-module, the restriction map, the
+restriction kernel, i_f = im res, i_n = im(res . norm), the restricted
+xi-cup map (odd p) and their sum.  The inclusion checks run once, as
+each side is built, and the invariants are compute_invariants of the
+pair, taken once.  Each subspace is eliminated once, and kept by what
+determines it: images and kernels of maps by their KMap, the fixed
+filtration by the GModule, the rest by the context.
 """
 
 from __future__ import annotations
 
 from .errors import InputError, MathCheckError
-from .fplin import Subspace, complement, intersect_and_sum, kernel_image
-from .gmod import decompose, fixed_points, multiplicity_oracle, omega_image
+from .fplin import Subspace, complement, intersect_and_sum
+from .gmod import decompose, fixed_filtration, fixed_points, multiplicity_oracle, omega_image
 from .milnor import (
     ann_cup,
     ann_pair,
@@ -157,13 +160,13 @@ class StructureReport:
 
 class StructureContext:
     """The cached data of one (extension, degree) pair (see the module
-    docstring).  ``xi_map`` and ``xi_image`` are None for p = 2.  ``w``
-    is the pinned complement of ann(a, xi) and ``cup_ann_ax`` the cup
-    image of ann(a, xi)."""
+    docstring).  ``xi_map`` is None for p = 2.  ``w`` is the pinned
+    complement of ann(a, xi) and ``cup_ann_ax`` the cup image of
+    ann(a, xi).  The norm and cup images are those the maps keep."""
 
     __slots__ = (
-        "ext", "n", "ann_a", "ann_ax", "w", "cup", "cup_image", "cup_ann_ax",
-        "xi_map", "xi_image", "norm", "norm_image", "_invariants", "_galois",
+        "ext", "n", "ann_a", "ann_ax", "w", "cup", "cup_ann_ax",
+        "xi_map", "norm", "_invariants", "_galois",
     )
 
     def __init__(self, ext: KummerExtension, n: int) -> None:
@@ -176,18 +179,15 @@ class StructureContext:
             raise MathCheckError("ann(a) is not inside ann(a, xi)")
         self.w = complement(self.ann_ax, Subspace.full(p, k_dim(field, n - 1)))
         self.norm = norm_map(ext, n)
-        self.norm_image = self.norm.image()
         self.cup = cup_with(field, a_cls, n)
-        self.cup_image = self.cup.image()
         self.cup_ann_ax = self.cup.image_of(self.ann_ax)
-        self.xi_map = self.xi_image = None
+        self.xi_map = None
         if p > 2:
             # the kernel of restriction consists of norms for odd p
-            if not self.cup_image.is_subspace_of(self.norm_image):
+            if not self.cup.image().is_subspace_of(self.norm.image()):
                 raise MathCheckError("(a)-multiples are not norms")
             self.xi_map = cup_with(field, xi_class(field), n)
-            self.xi_image = self.xi_map.image()
-        elif not self.cup_ann_ax.is_subspace_of(self.norm_image):
+        elif not self.cup_ann_ax.is_subspace_of(self.norm.image()):
             raise MathCheckError("(a)-multiples of ann(a,-1) are not norms")
 
     def galois(self) -> "GaloisSide":
@@ -205,10 +205,10 @@ class StructureContext:
 
 
 class GaloisSide:
-    """The sigma-module of a pair, its fixed part ``mg``, the restriction
-    map ``res`` with its kernel ``res_kernel``, i_f = im res, i_n =
-    im(res . norm), for odd p the restricted xi-cup map ``xi_cup``, and
-    ``inner`` = i_xi + i_n (i_n when p = 2)."""
+    """The sigma-module of a pair, its fixed part ``mg`` (kept by the
+    module), the restriction map ``res`` with its kernel ``res_kernel``,
+    i_f = im res, i_n = im(res . norm), for odd p the restricted xi-cup
+    map ``xi_cup``, and ``inner`` = i_xi + i_n (i_n when p = 2)."""
 
     __slots__ = ("module", "mg", "res", "res_kernel", "i_f", "i_n", "xi_cup", "inner")
 
@@ -217,7 +217,7 @@ class GaloisSide:
         self.module = sigma_map(ext, n)
         self.res = restriction_map(ext, n)
         self.mg = fixed_points(self.module)
-        self.res_kernel, self.i_f = kernel_image(self.res.matrix)
+        self.res_kernel, self.i_f = self.res.kernel(), self.res.image()
         self.i_n = self.inner = (self.res @ ctx.norm).image()
         if not self.i_f.is_subspace_of(self.mg):
             raise MathCheckError("restriction image is not fixed by the Galois action")
@@ -249,16 +249,17 @@ def compute_invariants(ext: KummerExtension, n: int) -> Invariants:
     keeps the result as its ``invariants``.
     """
     ctx = structure_context(ext, n)
-    p, kn, kn1 = ext.p, ctx.norm_image.ambient_dim, ctx.ann_ax.ambient_dim
-    e_val = ctx.norm_image.dim
+    norm_image = ctx.norm.image()
+    p, kn, kn1 = ext.p, norm_image.ambient_dim, ctx.ann_ax.ambient_dim
+    e_val = norm_image.dim
     u1 = ctx.ann_ax.dim - ctx.ann_a.dim
     u2 = kn1 - ctx.ann_ax.dim
     if p > 2:
-        y_val = e_val - ctx.cup_image.dim
-        _, span = intersect_and_sum(ctx.xi_image, ctx.norm_image)
+        y_val = e_val - ctx.cup.image().dim
+        _, span = intersect_and_sum(ctx.xi_map.image(), norm_image)
     else:
         y_val = e_val - ctx.cup_ann_ax.dim
-        _, span = intersect_and_sum(ctx.cup_image, ctx.norm_image)
+        _, span = intersect_and_sum(ctx.cup.image(), norm_image)
     return Invariants(p, n, kn - e_val, e_val, u1, u2, y_val, kn - span.dim)
 
 
@@ -349,9 +350,9 @@ def check_theorem_items(report: StructureReport) -> tuple[bool, list[dict]]:
                 f"dim Y^G = {yg.dim}, dim res(cor) = {i_n.dim}"))
     if p > 2:
         _, x1x2 = intersect_and_sum(report.x1, report.x2)
-        cor_image = ctx.norm.image_of(x1x2)
-        out.append(("cor_surjects_onto_cup_image", ctx.cup_image.is_subspace_of(cor_image),
-                    f"dim cor(X1+X2) = {cor_image.dim}, dim (a)-image = {ctx.cup_image.dim}"))
+        cor_image, cup_image = ctx.norm.image_of(x1x2), ctx.cup.image()
+        out.append(("cor_surjects_onto_cup_image", cup_image.is_subspace_of(cor_image),
+                    f"dim cor(X1+X2) = {cor_image.dim}, dim (a)-image = {cup_image.dim}"))
     else:
         cor_x1 = ctx.norm.image_of(report.x1)
         target = ctx.cup_ann_ax
@@ -374,19 +375,15 @@ def check_canonical(ext: KummerExtension, n: int) -> tuple[bool, list[dict]]:
     ctx = structure_context(ext, n)
     inv, gal = ctx.invariants, ctx.galois()
     module, mg, i_f, i_n = gal.module, gal.mg, gal.i_f, gal.i_n
+    filt = fixed_filtration(module)  # kept on the module by decompose_knE
     out = [("norm_power_identity", i_n == omega_image(module, p - 1),
             "res(cor) image equals the image of the top power of (sigma-1)")]
-    first, _ = intersect_and_sum(omega_image(module, 1), mg)
-    out.append(("first_power_intersection", first == gal.inner, f"dim = {first.dim}"))
-    higher_ok = True
-    for i in range(3, p + 1):
-        inter, _ = intersect_and_sum(omega_image(module, i - 1), mg)
-        higher_ok = higher_ok and inter == i_n
-    out.append(("higher_power_intersections", higher_ok))
+    out.append(("first_power_intersection", filt[1] == gal.inner, f"dim = {filt[1].dim}"))
+    out.append(("higher_power_intersections", all(k == i_n for k in filt[2:p])))
 
     # six-term sequence through k_{n-1}(F), k_n(F), the fixed part, and
     # the (a)-multiples of ann(a, xi)
-    ann_a, cup_img = ctx.ann_a, ctx.cup_image
+    ann_a, cup_img = ctx.ann_a, ctx.cup.image()
     kn1, kn = k_dim(field, n - 1), k_dim(field, n)
     ker_cup = ctx.cup.kernel()
     out.append(("six_term_exact_at_kn1", ker_cup == ann_a,
@@ -431,7 +428,7 @@ def check_lemma_VW(ext: KummerExtension, n: int) -> tuple[bool, list[dict]]:
     out = [
         ("cup_injective_on_vw", restricted.dim == vw.dim,
          f"dim V+W = {vw.dim}, image dim = {restricted.dim}"),
-        ("cup_image_from_vw", restricted == ctx.cup_image),
+        ("cup_image_from_vw", restricted == ctx.cup.image()),
     ]
     if ext.p > 2:
         img_w = ctx.galois().xi_cup.image_of(ctx.w)

@@ -1,0 +1,54 @@
+"""The earlier routes of ``knorm.fplin``, kept as a test oracle.
+
+Each one eliminates afresh where the current code reads the stored pivots
+or cuts one echelon split: membership by stacking the vector (or the
+other basis) under the basis and comparing ranks, the intersection from
+the kernel of [A; -B]^T after eliminating the stack for the sum, and the
+kernel from the free columns of the echelon form.  Every result is
+returned as a ``Subspace``, so it is compared in the canonical echelon
+form.
+"""
+
+import numpy as np
+
+from knorm.fplin import FpMatrix, MathInternal, Subspace, rref
+
+
+def contains(sub: Subspace, vec) -> bool:
+    v = np.asarray(vec, dtype=np.int64) % sub.p
+    stacked, _ = rref(np.vstack([sub.basis, v.reshape(1, -1)]), sub.p)
+    return stacked.shape[0] == sub.dim
+
+
+def is_subspace_of(sub: Subspace, other: Subspace) -> bool:
+    stacked, _ = rref(np.vstack([other.basis, sub.basis]), other.p)
+    return stacked.shape[0] == other.dim
+
+
+def kernel(m: FpMatrix) -> Subspace:
+    """Null space of a matrix."""
+    p, cols = m.p, m.cols
+    red, pivots = rref(m.entries, p)
+    free = sorted(set(range(cols)) - set(pivots))
+    kvecs = np.zeros((len(free), cols), dtype=np.int64)
+    for k, f in enumerate(free):
+        kvecs[k, f] = 1
+        kvecs[k, pivots] = (-red[:, f]) % p
+    return Subspace(p, cols, kvecs)
+
+
+def intersect_and_sum(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
+    """(a ∩ b, a + b), with the dimension formula enforced."""
+    p, n = a.p, a.ambient_dim
+    total = Subspace(p, n, np.vstack([a.basis, b.basis]))
+    if a.dim == 0 or b.dim == 0:
+        inter = Subspace.zero(p, n)
+    else:
+        # Solutions (u, v) of u*A = v*B give intersection vectors u*A.
+        stacked = np.vstack([a.basis, (-b.basis) % p]).T  # n x (da+db)
+        kern = kernel(FpMatrix(p, stacked))
+        inter_vecs = (kern.basis[:, : a.dim] @ a.basis) % p
+        inter = Subspace(p, n, inter_vecs)
+    if inter.dim + total.dim != a.dim + b.dim:
+        raise MathInternal("dimension formula for sum/intersection violated")
+    return inter, total

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from knorm import cli
+from knorm import cli, fplin
 from knorm import milnor as M
 from knorm.fplin import FpMatrix
 
@@ -282,6 +282,35 @@ def test_unramified_degree_40_is_found_quickly(capsys):
     code, out, _ = run(capsys, "field", "--spec", spec)
     assert code == 0
     assert "dim k1 = 42" in out
+
+
+def test_enumeration_above_the_class_bound_exits_2_before_any_top(monkeypatch, capsys):
+    """Q7(zeta_7) has dim k_1 = 8, within the dimension bound, but
+    (7^8 - 1)/6 = 960800 classes: refused before a single top is built."""
+    built = []
+    monkeypatch.setattr(M, "KummerExtension", lambda *args, **kw: built.append(args))
+    spec = '{"p": 7, "steps": [{"kind": "eisenstein", "coeffs": [7, 21, 35, 35, 21, 7]}]}'
+    code, out, err = run(capsys, "verify", "--spec", spec)
+    assert code == 2 and out == ""
+    assert "960800" in err and len(err.splitlines()) == 1
+    assert built == []
+
+
+def test_q2_verify_stays_within_its_rref_budget(monkeypatch, capsys):
+    """Each subspace is eliminated once: a Q2 verify made 2363 rref calls
+    when membership, kernels and intersections eliminated afresh, and
+    makes 942 with stored pivots and one echelon split each."""
+    calls = []
+    rref = fplin.rref
+
+    def counted(mat, p):
+        calls.append(np.shape(mat))
+        return rref(mat, p)
+
+    monkeypatch.setattr(fplin, "rref", counted)
+    assert cli.main(["verify", "--preset", "Q2", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 942
 
 
 def test_main_frees_the_loaded_field(monkeypatch, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fplin_oracle as oracle
 from knorm.errors import InputError
 from knorm.fplin import (
     FpMatrix,
@@ -188,3 +189,95 @@ def test_complement_is_the_rank_raising_rows(m):
         if FpMatrix(p, stacked[: i + 1]).rank() > FpMatrix(p, stacked[:i]).rank()
     ]
     assert complement(inner, outer) == Subspace(p, m.cols, np.array(raising).reshape(-1, m.cols))
+
+
+# The routes that read stored pivots or cut one echelon split, against the
+# earlier routes that eliminated afresh (tests/fplin_oracle.py).  Ambient
+# dimension 0, matrices with no rows or no columns, and the zero and full
+# subspaces are all in the draw.
+
+primes = st.sampled_from([2, 3, 5])
+
+
+@st.composite
+def fp_matrices(draw, p, cols, max_rows=6):
+    rows = draw(st.integers(0, max_rows))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    return FpMatrix(p, np.array(entries, dtype=np.int64).reshape(rows, cols))
+
+
+@st.composite
+def subspaces(draw, p, n):
+    kind = draw(st.sampled_from(["zero", "full", "span", "low rank"]))
+    if kind == "zero":
+        return Subspace.zero(p, n)
+    if kind == "full":
+        return Subspace.full(p, n)
+    rows = draw(fp_matrices(p, n)).entries
+    if kind == "low rank":  # combinations of at most two rows: proper intersections
+        rows = draw(fp_matrices(p, min(len(rows), 2))).entries @ rows[:2]
+    return Subspace(p, n, rows)
+
+
+@st.composite
+def subspace_pairs(draw):
+    p, n = draw(primes), draw(st.integers(0, 6))
+    return draw(subspaces(p, n)), draw(subspaces(p, n))
+
+
+def assert_echelon(sub):
+    """The stored basis is its own echelon form, and the stored pivots are
+    the pivots rref finds in it."""
+    red, pivots = rref(sub.basis, sub.p)
+    assert list(sub.pivots) == pivots
+    assert np.array_equal(red, sub.basis)
+    assert sub.basis.shape == (len(pivots), sub.ambient_dim)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_membership_reads_the_pivots_like_the_stack_elimination(data):
+    p, n = data.draw(primes), data.draw(st.integers(0, 6))
+    sub = data.draw(subspaces(p, n))
+    assert_echelon(sub)
+    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(np.array)
+    inside = (data.draw(vec.map(lambda v: v[: sub.dim])) @ sub.basis) % p
+    noise = data.draw(vec)
+    assert sub.contains(inside)
+    for v in (noise, (inside + noise) % p):
+        assert sub.contains(v) == oracle.contains(sub, v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(subspace_pairs())
+def test_split_intersection_and_sum_match_the_four_eliminations(pair):
+    a, b = pair
+    inter, total = intersect_and_sum(a, b)
+    assert (inter, total) == oracle.intersect_and_sum(a, b)
+    for sub in (inter, total):
+        assert_echelon(sub)
+    for x, y in ((a, b), (b, a), (a, total), (inter, a), (total, a)):
+        assert x.is_subspace_of(y) == oracle.is_subspace_of(x, y)
+    assert a.is_subspace_of(total) and inter.is_subspace_of(b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_split_kernel_matches_the_free_columns(data):
+    p = data.draw(primes)
+    m = data.draw(fp_matrices(p, data.draw(st.integers(0, 6))))
+    kern, img = kernel_image(m)
+    assert kern == oracle.kernel(m) == kernel(m)
+    assert img == image(m)
+    for sub in (kern, img, kernel(m), image(m)):
+        assert_echelon(sub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_complement_keeps_echelon_form(pair):
+    inner, _ = pair
+    outer = intersect_and_sum(*pair)[1]
+    comp = complement(inner, outer)
+    assert_echelon(comp)
+    assert comp.dim == outer.dim - inner.dim

@@ -4,11 +4,15 @@ Each file under ``golden/`` is the standard output of one command, with
 ``--json`` for the ``.json`` file and without it for the ``.txt`` file,
 for example ``knorm verify --preset Q2 --json > golden/verify_Q2.json``.
 The cases cover p = 2 on three presets and on the degrees 0..4, the
-Euler runs, the manual profile, and one odd prime: Q3(zeta_3) over the
-uniformizer on the degrees 0..4.  A change to any file is a change of
-the program's output and must be deliberate.
+Euler runs, the manual profile, and the odd primes on one class each:
+Q3(zeta_3) over the uniformizer on the degrees 0..4, and Q5(zeta_5) over
+the uniformizer.  The full Q3(zeta_3) report, 587 KB that print every
+X1, X2, Y and Z basis of its 40 classes, is pinned by its SHA-256.  A
+change to any file or to the hash is a change of the program's output
+and must be deliberate.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,7 @@ CASES = {
     "verify_Q3zeta3_uniformizer_n01234": [
         "verify", "--preset", "Q3zeta3", "--a", "uniformizer", "--n", "0", "1", "2", "3", "4",
     ],
+    "verify_Q5zeta5_uniformizer": ["verify", "--preset", "Q5zeta5", "--a", "uniformizer"],
     "euler_Q2_n12": ["euler", "--preset", "Q2", "--n", "1", "2"],
     "euler_manual": ["euler", "--manual", MANUAL],
     "verify_manual": ["verify", "--manual", MANUAL],
@@ -38,3 +43,11 @@ def test_report_matches_golden(capsys, name, suffix):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.{suffix}").read_text()
+
+
+def test_full_q3zeta3_report_matches_its_hash(capsys):
+    assert cli.main(["verify", "--preset", "Q3zeta3", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c0b6339978140a0f2edce1ac1f022ee3f2372017cb9743c77eb278cdf4a34af3"
+    )

@@ -30,6 +30,24 @@ def _ext(preset, a):
     return KummerExtension(base, base.pi if a == "pi" else base.element(a))
 
 
+def _cbrt4_top():
+    """Q3zeta3(cbrt 4): 4 = 1 + 3 sits at level 2, below the wild level 3,
+    so the top is ramified."""
+    top = _ext("Q3zeta3", 4).top
+    assert (top.e, top.f) == (6, 1)
+    return top
+
+
+def _unramified_cubic():
+    """The unramified cubic extension of Q3zeta3, adjoining a cube root of
+    its wild basis entry 1 + pi^3."""
+    base = _base("Q3zeta3")
+    wild = next(entry for entry in base.k1_structure() if entry.kind == "top")
+    top = KummerExtension(base, PadicElement(base, wild.data)).top
+    assert (top.e, top.f) == (2, 3)
+    return top
+
+
 FIELDS = {
     "Q2sqrt2": lambda: _base("Q2sqrt2"),
     "Q2unram2, f = 2": lambda: _base("Q2unram2"),
@@ -38,7 +56,8 @@ FIELDS = {
     "Q5zeta5(pi^(1/5)), degree 20": lambda: _ext("Q5zeta5", "pi").top,
     "Q2sqrt2(sqrt 5), unramified, f = 2": lambda: _ext("Q2sqrt2", 5).top,
     "Q2unram2(sqrt 2), f = 2": lambda: _ext("Q2unram2", 2).top,
-    "Q3zeta3(cbrt 4), unramified": lambda: _ext("Q3zeta3", 4).top,
+    "Q3zeta3(cbrt 4), e = 6": _cbrt4_top,
+    "Q3zeta3(cbrt(1 + pi^3)), unramified, f = 3": _unramified_cubic,
     "Q3zeta3(cbrt pi)": lambda: _ext("Q3zeta3", "pi").top,
 }
 
@@ -50,11 +69,8 @@ def field(name):
 
 def _f27_top():
     """A degree-p^2 top whose residue field is F_27: the cube root of the
-    uniformizer over the unramified cubic extension of Q3zeta3, the one
-    adjoining a cube root of its wild basis entry 1 + pi^3."""
-    base = _base("Q3zeta3")
-    wild = next(entry for entry in base.k1_structure() if entry.kind == "top")
-    middle = KummerExtension(base, PadicElement(base, wild.data)).top
+    uniformizer over the unramified cubic extension of Q3zeta3."""
+    middle = field("Q3zeta3(cbrt(1 + pi^3)), unramified, f = 3")
     top = KummerExtension(middle, middle.pi).top
     assert (top.degree, top.f) == (18, 3)
     return top
@@ -128,7 +144,8 @@ def nonzero_ints(draw, f):
 # odd p with f > 1 or with p-divisible levels below the wild one, where
 # the clearing factors of those levels are not their own inverses mod p
 K1_FIELDS = ["Q2unram2, f = 2", "Q3zeta3", "Q2sqrt2(sqrt 5), unramified, f = 2",
-             "Q2unram2(sqrt 2), f = 2", "Q3zeta3(cbrt 4), unramified", "Q3zeta3(cbrt pi)"]
+             "Q2unram2(sqrt 2), f = 2", "Q3zeta3(cbrt 4), e = 6", "Q3zeta3(cbrt pi)",
+             "Q3zeta3(cbrt(1 + pi^3)), unramified, f = 3"]
 
 
 @pytest.mark.parametrize("name", K1_FIELDS)
