@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -282,6 +283,21 @@ def _failures(checks: list[dict]) -> list[str]:
     return [f"   FAILED: {c['name']} {c.get('detail', '')}" for c in checks if not c["passed"]]
 
 
+@contextmanager
+def _naming(ext, suite: str):
+    """An error raised inside names the extension and the suite on stderr."""
+    try:
+        yield
+    except KnormError as exc:
+        exc.where = f"a={ext.label}, suite {suite}"
+        raise
+
+
+def _where(exc: KnormError) -> str:
+    """The extension and suite an error names, if any, as a suffix."""
+    return f" [{exc.where}]" if hasattr(exc, "where") else ""
+
+
 def _extensions(field: LocalField, args) -> list:
     """The extension named by --a, or every extension class of the field."""
     if args.a:
@@ -316,7 +332,10 @@ def _euler_rows(exts, degrees):
     """Per degree: the degree, the extensions' profiles and their identity
     checks, each a (passed, entry) pair."""
     for n in degrees:
-        profs = [profile_from_field(ext, n) for ext in exts]
+        profs = []
+        for ext in exts:
+            with _naming(ext, "euler"):
+                profs.append(profile_from_field(ext, n))
         yield n, profs, [theorem3_check(prof) for prof in profs]
 
 
@@ -393,12 +412,11 @@ def cmd_verify(args) -> int:
     exts = _extensions(field, args)
     lines = [f"verifying {len(exts)} extension(s), degrees {degrees}, suite {args.suite}"]
     ok = True
-    if args.suite in ("canonical", "all"):
-        for ext in exts:
-            ok = _verify_canonical(ext, degrees, report["results"], lines) and ok
-    if args.suite in ("sequences", "all"):
-        for ext in exts:
-            ok = _verify_sequences(ext, degrees, report["results"], lines) and ok
+    for suite, run in (("canonical", _verify_canonical), ("sequences", _verify_sequences)):
+        if args.suite in (suite, "all"):
+            for ext in exts:
+                with _naming(ext, suite):
+                    ok = run(ext, degrees, report["results"], lines) and ok
     if args.suite in ("euler", "all"):
         for n, profs, checks in _euler_rows(exts, degrees):
             passed, entry, doubling = _corollary(profs)
@@ -434,16 +452,16 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}{_where(exc)}", file=sys.stderr)
         return EXIT_INPUT
     except PrecisionError as exc:
-        print(f"precision error: {exc}", file=sys.stderr)
+        print(f"precision error: {exc}{_where(exc)}", file=sys.stderr)
         return EXIT_PRECISION
     except MathCheckError as exc:
-        print(f"mathematical check failed: {exc}", file=sys.stderr)
+        print(f"mathematical check failed: {exc}{_where(exc)}", file=sys.stderr)
         return EXIT_MATH_FAIL
     except KnormError as exc:  # pragma: no cover
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}{_where(exc)}", file=sys.stderr)
         return EXIT_INPUT
     finally:
         if getattr(args, "loaded_field", None) is not None:

@@ -38,7 +38,6 @@ __all__ = [
     "k_group",
     "k1_group",
     "class_of",
-    "class_of_bruteforce",
     "get_extension",
     "release_caches",
     "norm_subgroup",
@@ -241,17 +240,6 @@ def k1_group(field: LocalField) -> KGroup:
 def class_of(field: LocalField, x: PadicElement) -> KClass:
     """Coordinates of a nonzero element in k_1, by filtration peeling."""
     return KClass(k_group(field, 1), field.k1_coords(x))
-
-
-def class_of_bruteforce(field: LocalField, x: PadicElement) -> KClass:
-    """Independent oracle for class_of: search all p^dim coordinate vectors
-    for the one whose basis product differs from x by a p-th power."""
-    grp = k_group(field, 1)
-    for cand in grp.classes():
-        rep = field.k1_element([int(c) for c in cand.coords])
-        if field.is_pth_power(x * rep.inverse()):
-            return cand
-    raise MathCheckError("no coordinate vector matches; basis corruption?")
 
 
 def _class_key(field: LocalField, coords) -> tuple:

@@ -26,8 +26,10 @@ unit keeps shift 0 even where L is smaller than O.  A product adds
 the product of every pair of nonzero ints into its slot of the unreduced
 product, where each step's degree may reach 2d - 2, then reduces once by
 the step polynomials, each level's nonzero blocks before the level
-above, modulo p^(N-v+2k), and divides by p^k.  An inverse solves
-x * y = 1 on the ints by integer elimination.
+above, modulo p^(N-v+2k), and divides by p^k.  An inverse is pi^-v
+times the inverse of the unit x * pi^-v, which Newton's iteration
+y <- y + y * (1 - x * y) reaches from the lift of the residue inverse;
+the one integer elimination of a field is the one that gives T below.
 
 Powers of pi need no inverse: pi^k = p^m * pi^r * eta^m for k = e*m + r,
 0 <= r < e, and the unit eta = pi^e / p, from ladders of pi^r and
@@ -65,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, MathCheckError, PrecisionError
-from .fplin import FpMatrix, Subspace, image, is_prime, kernel, solve as fp_solve
+from .fplin import FpMatrix, image, is_prime, kernel, solve as fp_solve
 
 __all__ = ["LocalField", "PadicElement", "KummerExtension", "default_precision"]
 
@@ -647,25 +649,44 @@ class LocalField:
             k >>= 1
         return out
 
-    # -- linear algebra on monomial ints ---------------------------------------------
+    # -- inverses and the integral basis {r_j * pi^i} ---------------------------------
 
-    def _mult_matrix(self, x, prec: int):
-        """Integer rows of y -> x * y over the monomials, scaled by
-        p^(k - v_x) for the index k, modulo p^prec."""
-        n, mod = self.degree, self.p**prec
-        X = [a % mod for a in x[2]]
-        units = [[int(i == j) for i in range(n)] for j in range(n)]
-        cols = [self._ints_mul(self.level, X, unit, mod) for unit in units]
-        return [list(row) for row in zip(*cols)]
+    def _inv(self, x):
+        """1/x = pi^-v * 1/u for the unit u = x * pi^-v, v = v(x)."""
+        val = self._val_or_bound(x)
+        if not isinstance(val, int):
+            raise PrecisionError("inverting an element indistinguishable from zero")
+        if not val:
+            return self._unit_inv(x)
+        pim = self.pi_pow(-val).data
+        return self._mul(pim, self._unit_inv(self._mul(x, pim)))
 
-    def _solve(self, mat, rhs, prec: int):
-        """Solve mat * X = rhs over Z_p, for n x n integer rows known modulo
-        p^prec and n x k rhs rows, by elimination with full pivoting on the
-        least valuation.  Returns (D, P, X): the solution is p^-D * X with
-        the ints of X known modulo p^P.  Each pivot of valuation k costs k
-        digits, and the back substitution D more, D the sum of them."""
+    def _unit_inv(self, x):
+        """1/x for a unit x known modulo p^N O, by Newton's iteration y <- y
+        + y * (1 - x * y) from the lift of the residue inverse r^(q-2), taken
+        as exact at N: each round squares 1 - x * y, so it vanishes within
+        log2(e * N) rounds, and then y = 1/x' modulo p^N for every x' that
+        x allows, since 1/x is a unit.  x and y keep shift 0, so that no
+        product loses digits."""
+        x = self._tighten(x, 0)
+        N, k = x[1], self.index
+        v, _, ints = self._rep_raw(self._res_pow(self.residue_of(x), self.q - 2))
+        y, one = self._data(v, N, ints), self._data(0, N, [self.p**k] + [0] * (self.degree - 1))
+        for _ in range((self.e * N).bit_length() + 4):
+            d = self._add(one, self._neg(self._mul(x, y)))
+            if not isinstance(self._val_or_bound(d), int):
+                return y
+            y = self._add(y, self._mul(y, d))
+        raise PrecisionError("inverse did not settle at working precision")
+
+    def _solve(self, mat, prec: int):
+        """Invert an n x n integer matrix known modulo p^prec over Z_p, by
+        elimination with full pivoting on the least valuation.  Returns
+        (D, P, X): the inverse is p^-D * X with the ints of X known modulo
+        p^P.  Each pivot of valuation k costs k digits, and the back
+        substitution D more, D the sum of them."""
         p, n = self.p, len(mat)
-        rows = [m + r for m, r in zip(mat, rhs)]
+        rows = [m + [int(i == j) for j in range(n)] for i, m in enumerate(mat)]
         free_rows, free_cols, pivots = list(range(n)), list(range(n)), []
         for _ in range(n):
             pivot = next(((0, i, j) for i in free_rows for j in free_cols if rows[i][j] % p), None)
@@ -700,47 +721,27 @@ class LocalField:
             sol[bj] = [c % p**prec // p**k for c in acc]
         return D, prec - D, sol
 
-    def _inv(self, x):
-        """1/x: the inverse of x's stored ints, solved as exact at enough
-        digits.  With w = -ceil(v(x) / e), 1/x lies in p^w O, and for
-        x' = x + O(p^N_x), 1/x' - 1/x = -(x' - x) / (x x') lies in
-        p^(N_x + 2w) O once N_x + w >= 1."""
-        v, N, _ = x
-        val = self._val_or_bound(x)
-        if not isinstance(val, int):
-            raise PrecisionError("inverting an element indistinguishable from zero")
-        p, n, k, w = self.p, self.degree, self.index, -val // self.e
-        if N + w < 1:
-            raise PrecisionError("inverse undetermined at working precision")
-        # the matrix of the ints has determinant valuation D, so solving it
-        # at `work` digits gives the monomial ints of 1/x as p^(k - v - D)
-        # * sol, sol known modulo p^(work - 2D)
-        D = self.f * val - n * (v - k)
-        work = max(N + 2 * w + v - k + 3 * D, 2 * D + 1)
-        rhs = [[int(i == 0)] for i in range(n)]
-        D, _, sol = self._solve(self._mult_matrix(x, work), rhs, work)
-        e = 2 * k - v - D - w  # from sol to the ints of 1/x at shift w
-        ints = [row[0] * p ** max(e, 0) // p ** max(-e, 0) for row in sol]
-        return self._data(w, N + 2 * w, ints)
-
-    # -- coordinates over the integral basis {r_j * pi^i} ----------------------------
-
     def _basis_inverse(self):
         """T = B^-1 as (shifts, R, rows, index): row j is p^shifts[j] *
         rows[j], the rows' ints are known modulo p^(R - min(shifts)), and
         index is the least k with p^k O inside the monomial lattice.  B is
-        the matrix of the stored ints of the basis, taken as exact: they
-        lift the same residues and uniformizer powers, to far below the
-        digits any decision reads."""
+        the matrix of the stored ints of the basis, taken as exact: its
+        columns are products of copies of the stored pi and residue lifts
+        whose stated precision is raised past the elimination's digits, so
+        no power of pi loses digits.  The stored ints lift the same residues
+        and uniformizer powers, to far below the digits any decision reads."""
         T = self._caches.get("basis_inverse")
         if T is None:
-            n, cols, pik = self.degree, [], self._one_raw()
+            def exact(x):
+                return (x[0], x[0] + 4 * self.cap + self.e + 2, x[2])
+
+            n, cols, pi, pik = self.degree, [], exact(self._pi), exact(self._one_raw())
+            basis = [exact(r) for r in self._residue_basis]
             for _ in range(self.e):
-                cols += [self._mul(pik, r) for r in self._residue_basis]
-                pik = self._mul(pik, self._pi)
-            ident = [[int(i == j) for i in range(n)] for j in range(n)]
+                cols += [self._mul(pik, r) for r in basis]
+                pik = self._mul(pik, pi)
             mat = [[col[2][j] for col in cols] for j in range(n)]
-            D, R, rows = self._solve(mat, ident, 4 * self.cap)
+            D, R, rows = self._solve(mat, 4 * self.cap)
             R = min(R, 2 * self.cap)
             shifts = [self.index - D - col[0] for col in cols]
             mod = self.p**R
@@ -1069,50 +1070,30 @@ class LocalField:
         return True
 
     def _refine_zeta(self, x, mu0: int):
-        """Drive x^p - 1 to zero: graded corrections below the Newton basin
-        of the cyclotomic factor, Newton steps afterwards."""
-        p = self.p
-        newton_floor = 2 * self.e * (p - 2) // (p - 1) + mu0
-        for _ in range(3 * self.wild + 30):
-            dv, s = self._lead(self._add(self._pow_raw(x, p), self._neg(self._one_raw())))
-            if dv == _INF or not isinstance(dv, int):
-                return x
-            if dv > newton_floor:
-                break
+        """Drive x^p - 1 to zero by graded corrections: with s the leading
+        residue of x^p - 1 at level dv > wild, x * (1 + t * pi^(dv - e)), t =
+        -s / ubar, cancels it, so each round raises dv and at most e * cap
+        rounds reach the working precision."""
+        one = self._one_raw()
+        for _ in range(self.e * self.cap + 30):
+            dv, s = self._lead(self._add(self._pow_raw(x, self.p), self._neg(one)))
+            if not isinstance(dv, int):
+                return x if self._val_or_bound(self._add(x, self._neg(one))) == mu0 else None
             t = tuple(self._twist(-1, [-c for c in s]))  # -s / ubar
             x = self._mul(x, self._one_plus(t, dv - self.e))
-        for _ in range(60):
-            h, hp = self._cyclotomic_and_derivative(x)
-            hv = self._val_or_bound(h)
-            if hv == _INF or not isinstance(hv, int):
-                break
-            x = self._add(x, self._neg(self._mul(h, self._inv(hp))))
-        d = self._add(self._pow_raw(x, p), self._neg(self._one_raw()))
-        if isinstance(self._val_or_bound(d), int):
-            return None
-        return x if self._val_or_bound(self._add(x, self._neg(self._one_raw()))) == mu0 else None
-
-    def _cyclotomic_and_derivative(self, x):
-        """h(x) = 1 + x + ... + x^{p-1} and its derivative at x."""
-        h = self._one_raw()
-        hp = self._zero_raw()
-        power = self._one_raw()
-        for i in range(1, self.p):
-            hp = self._add(hp, self._mul(self._int_raw(i), power))
-            power = self._mul(power, x)
-            h = self._add(h, power)
-        return h, hp
+        raise PrecisionError("p-th root of unity did not settle at working precision")
 
     # -- the unit-filtration basis of F^x/(F^x)^p and its discrete log ---------------
 
     def k1_structure(self) -> list[_K1Entry]:
         """Filtration-adapted basis of F^x/(F^x)^p.
 
-        One uniformizer entry, f principal-unit entries per level coprime
-        to p below the wild bound, and one top-level entry whose residue
-        avoids the image of the level-w power map.  The p-th root of
-        unity (or -1 for p = 2) occupies its natural level when that
-        level carries basis slots.
+        One uniformizer entry, the f principal units 1 + r_j * pi^mu per
+        level mu coprime to p below the wild bound, and one top-level entry
+        whose residue avoids the image of the level-w power map.  Where the
+        p-th root of unity (or -1 for p = 2) lives on such a level, it comes
+        first there and replaces the unit at the last nonzero digit of its
+        residue; with the other units it still spans the residue field.
         """
         entries = self._caches.get("k1_structure")
         if entries is not None:
@@ -1143,25 +1124,17 @@ class LocalField:
                 label = self._unit_label(mu, coords, is_qp)
                 entries.append(_K1Entry("top", mu, data, label, coords))
                 continue
-            # candidate pool for this level: the root of unity first when it
-            # lives here, then principal units over the residue basis
-            cands: list[tuple] = []
+            # the root of unity first when it lives here, in place of the unit
+            # at the last nonzero digit of its residue; the others in order
+            skip = None
             if zlevel == mu:
-                zlab = "-1" if p == 2 else "zeta"
-                cands.append((zeta, zres, zlab))
+                skip = max(j for j, c in enumerate(zres) if c)
+                entries.append(_K1Entry("unit", mu, zeta, "-1" if p == 2 else "zeta", zres))
             for i in range(f):
-                coords = tuple(1 if j == i else 0 for j in range(f))
-                data = self._one_plus(coords, mu)
-                cands.append((data, coords, self._unit_label(mu, coords, is_qp)))
-            taken = Subspace.zero(p, f)
-            for data, res, label in cands:
-                if not taken.contains(res):
-                    entries.append(_K1Entry("unit", mu, data, label, tuple(int(c) for c in res)))
-                    taken = Subspace(p, f, np.vstack([taken.basis, res]))
-                if taken.dim == f:
-                    break
-            if taken.dim != f:  # pragma: no cover
-                raise MathCheckError(f"could not fill the level-{mu} unit slots")
+                if i != skip:
+                    coords = tuple(1 if j == i else 0 for j in range(f))
+                    label = self._unit_label(mu, coords, is_qp)
+                    entries.append(_K1Entry("unit", mu, self._one_plus(coords, mu), label, coords))
         if len(entries) != self.degree + 2:
             raise MathCheckError(
                 f"unit basis has dimension {len(entries)}, expected {self.degree + 2}"

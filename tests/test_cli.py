@@ -7,6 +7,7 @@ import pytest
 
 from knorm import cli, fplin
 from knorm import milnor as M
+from knorm.errors import PrecisionError
 from knorm.fplin import FpMatrix
 
 TWO_STEP_SPEC = (
@@ -298,8 +299,9 @@ def test_enumeration_above_the_class_bound_exits_2_before_any_top(monkeypatch, c
 
 def test_q2_verify_stays_within_its_rref_budget(monkeypatch, capsys):
     """Each subspace is eliminated once: a Q2 verify made 2363 rref calls
-    when membership, kernels and intersections eliminated afresh, and
-    makes 942 with stored pivots and one echelon split each."""
+    when membership, kernels and intersections eliminated afresh, 942 with
+    stored pivots and one echelon split each, and makes 899 now that the
+    unit levels of k1_structure are filled without a Subspace."""
     calls = []
     rref = fplin.rref
 
@@ -310,7 +312,73 @@ def test_q2_verify_stays_within_its_rref_budget(monkeypatch, capsys):
     monkeypatch.setattr(fplin, "rref", counted)
     assert cli.main(["verify", "--preset", "Q2", "--json"]) == 0
     capsys.readouterr()
-    assert len(calls) <= 942
+    assert len(calls) <= 899
+
+
+def test_one_integer_elimination_per_field(monkeypatch, capsys):
+    """Inverses take Newton steps, so the only integer elimination is the
+    one that gives each field's integral-basis coordinates T."""
+    from knorm.padic import LocalField
+
+    solved, solve = [], LocalField._solve
+
+    def counted(self, *args):
+        solved.append(self)
+        return solve(self, *args)
+
+    monkeypatch.setattr(LocalField, "_solve", counted)
+    assert cli.main(["verify", "--preset", "Q2", "--json"]) == 0
+    capsys.readouterr()
+    assert solved and len(solved) == len({id(f) for f in solved})
+
+
+Q7_ZETA7_SPEC = '{"p": 7, "steps": [{"kind": "eisenstein", "coeffs": [7, 21, 35, 35, 21, 7]}]}'
+P3_SPEC = '{"p": 3, "steps": [{"kind": "eisenstein", "coeffs": [3, 0, 0, 0, 3, 0]}]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--preset", "Q5zeta5", "--a", "[1,0,1]", "--suite", "sequences"],
+        ["--spec", Q7_ZETA7_SPEC, "--a", "[1,0,1]", "--suite", "euler", "--n", "1"],
+        ["--spec", P3_SPEC, "--a", "[-2,0,1,0,-2,0]", "--suite", "sequences"],
+    ],
+    ids=["Q5zeta5 a=1+pi^2", "Q7zeta7 a=1+pi^2", "p=3 e=6 a=-2+pi^2-2pi^4"],
+)
+def test_every_kummer_top_builds(capsys, argv):
+    """Tops whose integral basis B lost digits to powers of pi, when its
+    columns were products at the working precision: each of these exited
+    3 with "elimination failed: matrix lost precision"."""
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("status: pass\n")
+
+
+@pytest.mark.parametrize(
+    "argv, suite, target",
+    [
+        (["verify", "--suite", "canonical"], "canonical", "check_canonical"),
+        (["verify", "--suite", "sequences"], "sequences", "projection_formula_check"),
+        (["verify", "--suite", "euler"], "euler", "profile_from_field"),
+        (["euler"], "euler", "profile_from_field"),
+    ],
+)
+def test_an_error_mid_enumeration_names_the_extension_and_the_suite(
+    monkeypatch, capsys, argv, suite, target
+):
+    """The exit code, the message and the empty stdout stay; stderr's one
+    line adds the extension and the suite."""
+    real = getattr(cli, target)
+
+    def failing(ext, *args):
+        if ext.label == "2*5":
+            raise PrecisionError("injected")
+        return real(ext, *args)
+
+    monkeypatch.setattr(cli, target, failing)
+    code, out, err = run(capsys, *argv, "--preset", "Q2")
+    assert (code, out) == (3, "")
+    assert err == f"precision error: injected [a=2*5, suite {suite}]\n"
 
 
 def test_main_frees_the_loaded_field(monkeypatch, capsys):

@@ -6,7 +6,9 @@ for example ``knorm verify --preset Q2 --json > golden/verify_Q2.json``.
 The cases cover p = 2 on three presets and on the degrees 0..4, the
 Euler runs, the manual profile, and the odd primes on one class each:
 Q3(zeta_3) over the uniformizer on the degrees 0..4, and Q5(zeta_5) over
-the uniformizer.  The full Q3(zeta_3) report, 587 KB that print every
+the uniformizer.  Q2(2^(1/4)) over 1 + pi^7 on the sequences suite builds
+Kummer tops whose integral basis once lost digits; its files are the
+reports of the flat-list kernel (b76be36), before that loss.  The full Q3(zeta_3) report, 587 KB that print every
 X1, X2, Y and Z basis of its 40 classes, is pinned by its SHA-256.  A
 change to any file or to the hash is a change of the program's output
 and must be deliberate.
@@ -30,6 +32,10 @@ CASES = {
         "verify", "--preset", "Q3zeta3", "--a", "uniformizer", "--n", "0", "1", "2", "3", "4",
     ],
     "verify_Q5zeta5_uniformizer": ["verify", "--preset", "Q5zeta5", "--a", "uniformizer"],
+    "verify_Q2root4_a1002_sequences": [
+        "verify", "--spec", '{"p": 2, "steps": [{"kind": "eisenstein", "coeffs": [-2, 0, 0, 0]}]}',
+        "--a", "[1,0,0,2]", "--suite", "sequences",
+    ],
     "euler_Q2_n12": ["euler", "--preset", "Q2", "--n", "1", "2"],
     "euler_manual": ["euler", "--manual", MANUAL],
     "verify_manual": ["verify", "--manual", MANUAL],

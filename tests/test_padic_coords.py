@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from knorm.errors import PrecisionError
 from knorm.padic import KummerExtension, LocalField, PadicElement
 from knorm.presets import FIELD_PRESETS
+from padic_fields import cbrt4_top, unramified_cubic
+from padic_oracle import EliminationInverse
 
 _INF = float("inf")
 
@@ -38,7 +40,7 @@ def matrix_valuation(field, x):
     if v >= N:
         return _INF if N == _INF else float(field.e * N)
     prec = N - v
-    mat = field._mult_matrix(x, prec)
+    mat = EliminationInverse(field)._mult_matrix(x, prec)
     rows, cols = list(range(n)), list(range(n))
     pivot_sum = 0
     while rows:
@@ -89,7 +91,8 @@ FIELDS = {
     "Q2sqrt2(sqrt 5), f = 2": lambda: _top("Q2sqrt2", 5),
     "Q2unram2(sqrt 2)": lambda: _top("Q2unram2", 2),
     "Q3zeta3(cbrt pi)": lambda: _top("Q3zeta3", "pi"),
-    "Q3zeta3(cbrt 4), f = 3": lambda: _top("Q3zeta3", 4),
+    "Q3zeta3(cbrt 4), e = 6": cbrt4_top,
+    "Q3zeta3(cbrt(1 + pi^3)), unramified, f = 3": unramified_cubic,
 }
 # examples per field: the degree-20 top has a slow oracle
 EXAMPLES = {name: 60 for name in FIELDS}

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from knorm.errors import PrecisionError
 from knorm.padic import KummerExtension, LocalField
 from knorm.presets import FIELD_PRESETS
+from padic_fields import cbrt4_top, unramified_cubic
 from tuple_kernel import CZERO, ZERO_EXP, Ctx
 
 
@@ -176,7 +177,8 @@ FIELDS = {
     "Q2sqrt2(sqrt 5), f = 2": lambda: _top(_preset("Q2sqrt2"), 5),
     "Q2unram2(sqrt 2), f = 2": lambda: _top(_preset("Q2unram2"), 2),
     "Q3zeta3(cbrt pi)": lambda: _top(_preset("Q3zeta3"), "pi"),
-    "Q3zeta3(cbrt 4), f = 3": lambda: _top(_preset("Q3zeta3"), 4),
+    "Q3zeta3(cbrt 4), e = 6": cbrt4_top,
+    "Q3zeta3(cbrt(1 + pi^3)), unramified, f = 3": unramified_cubic,
     "Q5zeta5(pi^(1/5)), degree 20": lambda: _top(_preset("Q5zeta5"), "pi"),
     "Q2sqrt2(sqrt pi)(sqrt pi), level 3": lambda: _top(_top(_preset("Q2sqrt2"), "pi"), "pi"),
 }
@@ -261,7 +263,7 @@ def test_products_match_the_dense_kernel(name):
     run()
 
 
-@pytest.mark.parametrize("name", ["Q3zeta3(cbrt 4), f = 3", "Q5zeta5(pi^(1/5)), degree 20"])
+@pytest.mark.parametrize("name", ["Q3zeta3(cbrt 4), e = 6", "Q5zeta5(pi^(1/5)), degree 20"])
 def test_products_of_basis_elements_match(name):
     """Products that the k_1 maps actually form, including sparse lifts."""
     f = field(name)
@@ -272,7 +274,9 @@ def test_products_of_basis_elements_match(name):
             check_product(name, x, y, still, still)
 
 
-@pytest.mark.parametrize("name", ["Q3zeta3(cbrt 4), f = 3", "Q2sqrt2(sqrt pi)(sqrt pi), level 3"])
+@pytest.mark.parametrize("name", ["Q3zeta3(cbrt 4), e = 6",
+                                  "Q3zeta3(cbrt(1 + pi^3)), unramified, f = 3",
+                                  "Q2sqrt2(sqrt pi)(sqrt pi), level 3"])
 def test_inverses_are_honest(name):
     """y = 1/x, known modulo p^N_y, satisfies x' * y = 1 modulo p^(v_x + N_y)
     for every x' that x allows."""

@@ -3,10 +3,12 @@
 The oracles are the earlier routes, kept here: pi^k as a binary power of
 pi (of 1/pi for k < 0, one inverse per call) with its shift raised to
 k // e, the norm as the sequential product of the p conjugates sigma(x),
-sigma^2(x), ..., and the leading residue as the residue of x * pi^-v, a
-product and a second pass of T.  The discrete log is checked by its
-defining property instead: coordinates over F^x / (F^x)^p do not move
-when x is multiplied by a p-th power.
+sigma^2(x), ..., the leading residue as the residue of x * pi^-v, a
+product and a second pass of T, and the inverse by integer elimination
+(``padic_oracle``), against which Newton's inverse is checked on units.
+The discrete log is checked by its defining property instead:
+coordinates over F^x / (F^x)^p do not move when x is multiplied by a
+p-th power.
 """
 
 import functools
@@ -16,9 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knorm import milnor
-from knorm.errors import MathCheckError
+from knorm.errors import MathCheckError, PrecisionError
 from knorm.padic import KummerExtension, LocalField, PadicElement
 from knorm.presets import FIELD_PRESETS
+from padic_fields import cbrt4_top, unramified_cubic
+from padic_oracle import EliminationInverse
 
 
 def _base(preset):
@@ -30,24 +34,6 @@ def _ext(preset, a):
     return KummerExtension(base, base.pi if a == "pi" else base.element(a))
 
 
-def _cbrt4_top():
-    """Q3zeta3(cbrt 4): 4 = 1 + 3 sits at level 2, below the wild level 3,
-    so the top is ramified."""
-    top = _ext("Q3zeta3", 4).top
-    assert (top.e, top.f) == (6, 1)
-    return top
-
-
-def _unramified_cubic():
-    """The unramified cubic extension of Q3zeta3, adjoining a cube root of
-    its wild basis entry 1 + pi^3."""
-    base = _base("Q3zeta3")
-    wild = next(entry for entry in base.k1_structure() if entry.kind == "top")
-    top = KummerExtension(base, PadicElement(base, wild.data)).top
-    assert (top.e, top.f) == (2, 3)
-    return top
-
-
 FIELDS = {
     "Q2sqrt2": lambda: _base("Q2sqrt2"),
     "Q2unram2, f = 2": lambda: _base("Q2unram2"),
@@ -56,8 +42,8 @@ FIELDS = {
     "Q5zeta5(pi^(1/5)), degree 20": lambda: _ext("Q5zeta5", "pi").top,
     "Q2sqrt2(sqrt 5), unramified, f = 2": lambda: _ext("Q2sqrt2", 5).top,
     "Q2unram2(sqrt 2), f = 2": lambda: _ext("Q2unram2", 2).top,
-    "Q3zeta3(cbrt 4), e = 6": _cbrt4_top,
-    "Q3zeta3(cbrt(1 + pi^3)), unramified, f = 3": _unramified_cubic,
+    "Q3zeta3(cbrt 4), e = 6": cbrt4_top,
+    "Q3zeta3(cbrt(1 + pi^3)), unramified, f = 3": unramified_cubic,
     "Q3zeta3(cbrt pi)": lambda: _ext("Q3zeta3", "pi").top,
 }
 
@@ -110,7 +96,7 @@ def test_one_read_gives_the_valuation_and_the_leading_residue(name):
 
 def binary_pi_pow(f, k):
     """The earlier pi^k: a binary power of pi, or of 1/pi for k < 0."""
-    base = f._pi if k >= 0 else f._inv(f._pi)
+    base = f._pi if k >= 0 else EliminationInverse(f)._inv(f._pi)
     return f._tighten(f._pow_raw(base, abs(k)), k // f.e)
 
 
@@ -139,6 +125,37 @@ def test_pi_pow_gains_digits_on_negative_powers():
 def nonzero_ints(draw, f):
     ints = draw(st.lists(st.integers(-40, 40), min_size=f.degree, max_size=f.degree))
     return f._from_ints(ints) if any(ints) else f._one_raw()
+
+
+def _inverse_or_error(inv, x):
+    try:
+        return inv(x)
+    except PrecisionError:
+        return PrecisionError
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_newton_inverse_matches_the_elimination_inverse_on_units(name):
+    """On units, at full and at reduced precision, the inverse by Newton's
+    iteration equals the earlier elimination inverse in value and in
+    stated precision, and each raises where the other does."""
+    f = field(name)
+    old = EliminationInverse(f)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(nonzero_ints(f), st.integers(0, f.cap))
+    def run(x, cut):
+        v = f._val_or_bound(x)
+        u = f._mul(x, f.pi_pow(-v).data)
+        u = f._data(u[0], u[1] - min(cut, u[1] - u[0] - 1), u[2])
+        new_inv, old_inv = _inverse_or_error(f._inv, u), _inverse_or_error(old._inv, u)
+        if PrecisionError in (new_inv, old_inv):
+            assert new_inv is old_inv
+        else:
+            assert new_inv[1] == old_inv[1] == u[1]
+            assert agree(f, new_inv, old_inv)
+
+    run()
 
 
 # odd p with f > 1 or with p-divisible levels below the wild one, where
