@@ -42,8 +42,8 @@ __all__ = [
 class GModule:
     """F_p vector space of dimension ``dim`` with a sigma of order dividing p.
 
-    Both sigma^p = 1 and (sigma-1)^p = 0 are checked at construction; a
-    matrix failing either is rejected.
+    (sigma-1)^p = 0 is checked at construction, and a matrix failing it is
+    rejected; over F_p it is sigma^p = 1, as (sigma-1)^p = sigma^p - 1.
     """
 
     __slots__ = ("p", "dim", "sigma", "_shift_powers", "subspaces")
@@ -57,11 +57,8 @@ class GModule:
         self.p = mat.p
         self.dim = mat.rows
         self.sigma = mat
-        ident = FpMatrix.identity(p, self.dim)
-        if self.sigma**p != ident:
-            raise InputError("sigma^p is not the identity")
-        shift = self.sigma - ident
         powers = [FpMatrix.identity(p, self.dim)]
+        shift = self.sigma - powers[0]
         for _ in range(p):
             powers.append(powers[-1] @ shift)
         if powers[p] != FpMatrix.zero(p, self.dim, self.dim):

@@ -6,7 +6,9 @@ k_2 is one-dimensional, and everything above vanishes.  This module
 builds those groups with explicit bases, the norm (corestriction),
 restriction, Galois and cup-product maps for a degree-p Kummer extension
 E/F, and the numerical verifications of the exactness statements tying
-them together.  Each verification (verify_hilbert90, verify_voevodsky_seq,
+them together.  The first three maps take their degree-1 matrices from
+one builder, _k1_matrix, given the element map each one is induced by.
+Each verification (verify_hilbert90, verify_voevodsky_seq,
 projection_formula_check) returns (passed, entry): its own verdict and the
 JSON-ready report entry, which the CLI prints as it is.
 
@@ -17,7 +19,9 @@ fixes the degree-2 cup map with a up to one scalar: 1 for p = 2, and
 for odd p the identification of k_2 with F_p, which no kernel, image or
 vanishing statement can observe.  How that scalar varies from one class
 a to another is not pinned, so for odd p the nonzero value of a symbol
-is the generator of k_2 by convention only.
+is the generator of k_2 by convention only.  _norm_hyperplane is the one
+place N_a is read, by symbol and by cup_with; the annihilator of a in
+k_{n-1} is the kernel of cup_with(field, a, n).
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ __all__ = [
     "restriction_map",
     "sigma_map",
     "cup_with",
-    "ann_cup",
     "ann_pair",
     "verify_hilbert90",
     "verify_voevodsky_seq",
@@ -320,6 +323,14 @@ def defining_class(ext: KummerExtension) -> KClass:
     return ext.cache["a_class"]
 
 
+def _norm_hyperplane(field: LocalField, a_coords: list[int]) -> Subspace:
+    """N_a, the classes b with (a, b) = 0: the norms from F(a^{1/p}),
+    all of k_1 for a trivial a."""
+    if not any(a_coords):
+        return Subspace.full(field.p, k_dim(field, 1))
+    return norm_subgroup(get_extension(field, KClass(k_group(field, 1), a_coords)))
+
+
 def symbol(field: LocalField, a, b) -> KClass:
     """The degree-2 symbol of two k_1 classes, via the norm criterion.
 
@@ -328,14 +339,8 @@ def symbol(field: LocalField, a, b) -> KClass:
     for odd p pins the symbol only up to a scalar that depends on a.
     """
     k2 = k_group(field, 2)
-    a_coords = _as_k1_coords(field, a)
-    b_coords = _as_k1_coords(field, b)
-    if not any(a_coords):
-        return k2.zero()
-    if not any(b_coords):
-        return k2.zero()
-    sub = norm_subgroup(get_extension(field, KClass(k_group(field, 1), a_coords)))
-    if sub.contains(np.array(b_coords, dtype=np.int64)):
+    b_coords = np.array(_as_k1_coords(field, b), dtype=np.int64)
+    if _norm_hyperplane(field, _as_k1_coords(field, a)).contains(b_coords):
         return k2.zero()
     return k2.basis_class(0)
 
@@ -350,125 +355,85 @@ def restriction_map(ext: KummerExtension, n: int) -> KMap:
     return _cached_map(ext, ("res", n), _build_restriction_map)
 
 
-def _cached_map(ext: KummerExtension, key: tuple, builder) -> KMap:
+def sigma_map(ext: KummerExtension, n: int) -> GModule:
+    """k_n(E) as a module over the cyclic Galois group."""
+    return _cached_map(ext, ("sigma", n), _build_sigma_map)
+
+
+def _cached_map(ext: KummerExtension, key: tuple, builder):
     if key not in ext.cache:
         ext.cache[key] = builder(ext, key[1])
     return ext.cache[key]
 
 
+def _k1_matrix(src: LocalField, dst: LocalField, move) -> np.ndarray:
+    """The k_1 matrix of an element map src -> dst: column j holds the
+    coordinates in k_1(dst) of move applied to the j-th basis unit of src."""
+    cols = [dst.k1_coords(move(PadicElement(src, e.data))) for e in src.k1_structure()]
+    return np.array(cols, dtype=np.int64).T
+
+
 def _build_norm_map(ext: KummerExtension, n: int) -> KMap:
-    base, top, p = ext.base, ext.top, ext.p
-    src = k_group(top, n)
-    dst = k_group(base, n)
-    if n == 0:
-        return KMap(src, dst, FpMatrix.zero(p, 1, 1))  # transfer is times p = 0
-    if n == 1:
-        cols = []
-        for entry in top.k1_structure():
-            down = ext.norm_down(PadicElement(top, entry.data))
-            cols.append(base.k1_coords(down))
-        mat = FpMatrix(p, np.array(cols, dtype=np.int64).T)
-        kmap = KMap(src, dst, mat)
-        if dst.dim - kmap.image().dim != 1:
-            raise MathCheckError("norm image does not have codimension 1")
-        return kmap
-    if n == 2:
-        # corestriction is onto for local fields and both sides are lines;
-        # the generators are identified through it
-        return KMap(src, dst, FpMatrix.identity(p, 1))
-    return KMap(src, dst, FpMatrix.zero(p, 0, 0))
+    src, dst = k_group(ext.top, n), k_group(ext.base, n)
+    if n != 1:
+        # corestriction is times p = 0 on k_0, and onto between the lines
+        # k_2, whose generators are identified through it
+        return KMap(src, dst, np.eye(dst.dim, src.dim, dtype=np.int64) * (n == 2))
+    kmap = KMap(src, dst, _k1_matrix(ext.top, ext.base, ext.norm_down))
+    if dst.dim - kmap.image().dim != 1:
+        raise MathCheckError("norm image does not have codimension 1")
+    return kmap
 
 
 def _build_restriction_map(ext: KummerExtension, n: int) -> KMap:
-    base, top, p = ext.base, ext.top, ext.p
-    src = k_group(base, n)
-    dst = k_group(top, n)
-    if n == 0:
-        return KMap(src, dst, FpMatrix.identity(p, 1))
-    if n == 1:
-        cols = []
-        for entry in base.k1_structure():
-            up = ext.embed(PadicElement(base, entry.data))
-            cols.append(top.k1_coords(up))
-        return KMap(src, dst, FpMatrix(p, np.array(cols, dtype=np.int64).T))
-    if n == 2:
-        # restriction multiplies the invariant by the degree p, hence zero
-        return KMap(src, dst, FpMatrix.zero(p, 1, 1))
-    return KMap(src, dst, FpMatrix.zero(p, 0, 0))
+    # restriction is the identity on k_0 and multiplies the invariant of
+    # the line k_2 by the degree p, hence zero
+    src, dst = k_group(ext.base, n), k_group(ext.top, n)
+    if n != 1:
+        return KMap(src, dst, np.eye(dst.dim, src.dim, dtype=np.int64) * (n == 0))
+    return KMap(src, dst, _k1_matrix(ext.base, ext.top, ext.embed))
 
 
-def sigma_map(ext: KummerExtension, n: int) -> GModule:
-    """k_n(E) as a module over the cyclic Galois group."""
-    key = ("sigma", n)
-    if key not in ext.cache:
-        top, p = ext.top, ext.p
-        dim = k_dim(top, n)
-        if n == 1:
-            cols = []
-            for entry in top.k1_structure():
-                moved = ext.sigma(PadicElement(top, entry.data))
-                cols.append(top.k1_coords(moved))
-            mat = np.array(cols, dtype=np.int64).T
-        else:
-            mat = np.eye(dim, dtype=np.int64)
-        try:
-            ext.cache[key] = GModule(p, mat)
-        except InputError as exc:
-            # a computed action failing unipotence is a math failure, not bad input
-            raise MathCheckError(f"Galois action on k_{n} is not unipotent: {exc}") from exc
-    return ext.cache[key]
+def _build_sigma_map(ext: KummerExtension, n: int) -> GModule:
+    top = ext.top
+    mat = _k1_matrix(top, top, ext.sigma) if n == 1 else np.eye(k_dim(top, n), dtype=np.int64)
+    try:
+        return GModule(ext.p, mat)
+    except InputError as exc:
+        # a computed action failing unipotence is a math failure, not bad input
+        raise MathCheckError(f"Galois action on k_{n} is not unipotent: {exc}") from exc
 
 
 def cup_with(field: LocalField, a, n: int) -> KMap:
     """Cup product with a k_1 class, as a map k_{n-1} -> k_n, n >= 0.
 
     Degree 1 is the column a.  Degree 2 is the normal vector of the norm
-    hyperplane N_a = ann_cup(field, a, 2), the zero row for a trivial a:
-    exact up to one global scalar (see the module docstring), so its
-    kernel is N_a.  Every other degree is the zero map.
+    hyperplane N_a, the zero row for a trivial a: exact up to one global
+    scalar (see the module docstring), so its kernel is N_a.  Every other
+    degree is the zero map.  The kernel is the annihilator of a in
+    k_{n-1}.
     """
     if n < 0:
         raise InputError("cup maps start in degree 0")
-    a_cls = KClass(k_group(field, 1), _as_k1_coords(field, a))
+    a_coords = _as_k1_coords(field, a)
     src, dst, p = k_group(field, n - 1), k_group(field, n), field.p
     if n == 1:
-        return KMap(src, dst, a_cls.coords.reshape(-1, 1))
+        return KMap(src, dst, KClass(dst, a_coords).coords.reshape(-1, 1))
     if n == 2:
-        normal = kernel(FpMatrix(p, ann_cup(field, a_cls, 2).basis)).basis
+        normal = kernel(FpMatrix(p, _norm_hyperplane(field, a_coords).basis)).basis
         return KMap(src, dst, normal if len(normal) else FpMatrix.zero(p, 1, src.dim))
     return KMap(src, dst, FpMatrix.zero(p, dst.dim, src.dim))
 
 
-def ann_cup(field: LocalField, a, n: int) -> Subspace:
-    """The annihilator of cup product with a inside k_{n-1}, that is, the
-    kernel of cup_with(field, a, n).
-
-    In degree 2 it is the norm subgroup N_a (local duality), from which
-    cup_with builds its row.
-    """
-    a_coords = _as_k1_coords(field, a)
-    dim = k_dim(field, n - 1)
-    p = field.p
-    if not any(a_coords):
-        return Subspace.full(p, dim)
-    if n == 1:
-        return Subspace.zero(p, dim)  # multiplication by a nonzero class
-    if n == 2:
-        return norm_subgroup(get_extension(field, KClass(k_group(field, 1), a_coords)))
-    return Subspace.full(p, dim)  # the target k_n vanishes
-
-
 def ann_pair(field: LocalField, a, n: int) -> Subspace:
-    """The annihilator of the degree-2 symbol (a, xi_p) inside k_{n-1}."""
-    a_coords = _as_k1_coords(field, a)
-    dim = k_dim(field, n - 1)
-    p = field.p
-    if n == 1:
-        a_cls = KClass(k_group(field, 1), a_coords)
-        if symbol(field, a_cls, xi_class(field)).is_zero():
-            return Subspace.full(p, dim)
+    """The annihilator of the degree-2 symbol (a, xi_p) inside k_{n-1}:
+    zero in degree 1 when (a, xi_p) is nonzero, and everything otherwise,
+    since cup lands in k_{n+1} = 0 for n >= 2."""
+    a_cls = KClass(k_group(field, 1), _as_k1_coords(field, a))
+    p, dim = field.p, k_dim(field, n - 1)
+    if n == 1 and not symbol(field, a_cls, xi_class(field)).is_zero():
         return Subspace.zero(p, dim)
-    return Subspace.full(p, dim)  # cup lands in k_{n+1} = 0 for n >= 2
+    return Subspace.full(p, dim)
 
 
 def projection_formula_check(ext: KummerExtension) -> tuple[bool, dict[str, bool]]:
@@ -521,10 +486,8 @@ def verify_voevodsky_seq(ext: KummerExtension, m: int) -> tuple[bool, dict]:
     entry): exact at both inner terms, and the report entry."""
     if m < 1 or m > 3:
         raise InputError("four-term checks cover degrees 1..3")
-    field, a_cls = ext.base, defining_class(ext)
-    norm_image = norm_map(ext, m - 1).image()
-    cup_ann = ann_cup(field, a_cls, m)
-    cup_image = cup_with(field, a_cls, m).image()
+    cup = cup_with(ext.base, defining_class(ext), m)
+    norm_image, cup_ann, cup_image = norm_map(ext, m - 1).image(), cup.kernel(), cup.image()
     res_kernel = restriction_map(ext, m).kernel()
     at_base, at_cup = norm_image == cup_ann, cup_image == res_kernel
     return at_base and at_cup, {

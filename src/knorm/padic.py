@@ -124,13 +124,12 @@ class _Step:
     in one flat list of d*s entries, c_j at [j*s, (j+1)*s).
     """
 
-    __slots__ = ("kind", "degree", "poly", "info")
+    __slots__ = ("kind", "degree", "poly")
 
-    def __init__(self, kind: str, degree: int, poly: list[int], info=None) -> None:
+    def __init__(self, kind: str, degree: int, poly: list[int]) -> None:
         self.kind = kind
         self.degree = degree
         self.poly = poly
-        self.info = info or {}
 
 
 class PadicElement:
@@ -1034,7 +1033,7 @@ class LocalField:
         v = x.valuation()
         if v % self.p:
             return False
-        u = self._mul(x.data, self.pi_pow(-v).data)
+        u = self._tighten(self._mul(x.data, self.pi_pow(-v).data), 0)
         return self._unit_defect(u)[0] == "power"
 
     # -- mu_p detection and the p-th root of unity -----------------------------------
@@ -1180,7 +1179,7 @@ class LocalField:
         if not isinstance(v, int):
             raise _valuation_error(v)
         coords[0] = v % p
-        u = self._mul(x.data, self.pi_pow(-v).data) if v else x.data
+        u = self._tighten(self._mul(x.data, self.pi_pow(-v).data) if v else x.data, 0)
         # clearing factors, in dicts of their own: by residue, by (position,
         # c), by (t, l); level solves by (level, residue)
         teich, powers = caches.setdefault("k1_teich", {}), caches.setdefault("k1_powers", {})
@@ -1347,7 +1346,6 @@ class KummerExtension:
         self.p = p
         self.a = a
         self.label = label
-        self._a_norm = a_norm
         lattice_shift = base._lattice_shift(a_norm)
         clear = -(lattice_shift // p) if lattice_shift < 0 else 0
         scaled = (a_norm[0] + p * clear, a_norm[1] + p * clear, a_norm[2])
@@ -1361,7 +1359,7 @@ class KummerExtension:
         else:
             e, f, kind = base.e, base.f * p, "unramified"
             info = {"m": kind_data[2], "t": kind_data[1]}
-        step = _Step("kummer", p, poly, {"classification": kind, **info})
+        step = _Step("kummer", p, poly)
         # the base's margin over its default precision carries over to the top
         margin = base.prec - default_precision(p, base.e)
         top = base._extended(step, e, f, default_precision(p, e) + margin)

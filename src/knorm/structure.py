@@ -15,15 +15,15 @@ CLI prints as it is.
 Everything these steps and the Euler formulas read about one pair is
 built once, by structure_context, into a StructureContext kept in the
 extension's cache (milnor.release_caches empties it).  Its base side,
-built at once, holds ann(a) and ann(a, xi) in k_{n-1}(F), the pinned
-complement W, the cup maps with a and (odd p) with xi, the cup image of
-ann(a, xi), and the norm map.  Its Galois side, a GaloisSide that
-galois() builds on the first call since the invariants and the Euler
-formulas never read it, holds the sigma-module, the restriction map, the
-restriction kernel, i_f = im res, i_n = im(res . norm), the restricted
-xi-cup map (odd p) and their sum.  The inclusion checks run once, as
-each side is built, and the invariants are compute_invariants of the
-pair, taken once.  Each subspace is eliminated once, and kept by what
+built at once, holds the cup maps with a and (odd p) with xi, ann(a) in
+k_{n-1}(F), which is the kernel of the first, ann(a, xi), the pinned
+complement W, the cup image of ann(a, xi), and the norm map.  Its Galois
+side, a GaloisSide that galois() builds on the first call since the
+invariants and the Euler formulas never read it, holds the sigma-module,
+the restriction map, the restriction kernel, i_f = im res, i_n =
+im(res . norm), the restricted xi-cup map (odd p) and their sum.  The
+inclusion checks run once, as each side is built, and the invariants are
+compute_invariants of the pair, taken once.  Each subspace is eliminated once, and kept by what
 determines it: images and kernels of maps by their KMap, the fixed
 filtration by the GModule, the rest by the context.
 """
@@ -34,7 +34,6 @@ from .errors import InputError, MathCheckError
 from .fplin import Subspace, complement, intersect_and_sum
 from .gmod import decompose, fixed_filtration, fixed_points, multiplicity_oracle, omega_image
 from .milnor import (
-    ann_cup,
     ann_pair,
     cup_with,
     defining_class,
@@ -173,13 +172,13 @@ class StructureContext:
         field, p = ext.base, ext.p
         self.ext, self.n, self._invariants, self._galois = ext, n, None, None
         a_cls = defining_class(ext)
-        self.ann_a = ann_cup(field, a_cls, n)
+        self.cup = cup_with(field, a_cls, n)
+        self.ann_a = self.cup.kernel()
         self.ann_ax = ann_pair(field, a_cls, n)
         if not self.ann_a.is_subspace_of(self.ann_ax):
             raise MathCheckError("ann(a) is not inside ann(a, xi)")
         self.w = complement(self.ann_ax, Subspace.full(p, k_dim(field, n - 1)))
         self.norm = norm_map(ext, n)
-        self.cup = cup_with(field, a_cls, n)
         self.cup_ann_ax = self.cup.image_of(self.ann_ax)
         self.xi_map = None
         if p > 2:

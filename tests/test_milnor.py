@@ -154,7 +154,7 @@ def test_cup_with_examples(q2):
     cup = M.cup_with(q2, a2, 2)
     assert cup.matrix.rank() == 1
     assert list(cup.matrix.entries[0]) == [0, 0, 1]  # only (2,5) nonzero on the basis
-    ann5 = M.ann_cup(q2, a5, 2)
+    ann5 = M.cup_with(q2, a5, 2).kernel()
     assert ann5.dim == 2
     assert ann5 == M.norm_subgroup(M.get_extension(q2, q2.element(5)))
     cup3 = M.cup_with(q2, a2, 3)

@@ -179,6 +179,25 @@ def test_k1_coords_ignore_pth_powers(name):
     run()
 
 
+def test_k1_coords_peel_the_unit_at_shift_0(monkeypatch):
+    """x * pi^-v comes out of _mul at shift -1 on this x, one p-digit
+    short of what it knows; the unit u that k1_coords peels, read through
+    u - 1 at each level, has shift 0, and the coordinates are unchanged."""
+    f = field("Q2sqrt2(sqrt 5), unramified, f = 2")
+    x = (0, 29, [2, 0, 2, 2])
+    assert f._mul(x, f.pi_pow(-1).data)[0] == -1
+    minus_one, add, peeled = f._neg(f._one_raw()), f._add, []
+
+    def spy(a, b):
+        if b == minus_one:
+            peeled.append(a)
+        return add(a, b)
+
+    monkeypatch.setattr(f, "_add", spy)
+    assert f.k1_coords(PadicElement(f, x)) == [1, 1, 1, 0, 0, 0]
+    assert peeled and all(u[0] == 0 for u in peeled)
+
+
 def sequential_norm(ext, x):
     """The earlier norm: x * sigma(x) * ... * sigma^(p-1)(x), one product
     per conjugate."""
