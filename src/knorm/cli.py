@@ -2,8 +2,10 @@
 
 Subcommands: field, kgroup, invariants, decompose, euler, verify.
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 bad
-input, 3 precision exhausted.  Reports go to stdout, human-readable by
-default and as a JSON document with --json.
+input, 3 precision exhausted, 4 internal error: any other exception,
+such as a MemoryError, which prints one line on stderr, naming the
+extension and suite it was raised in, and no traceback.  Reports go to
+stdout, human-readable by default and as a JSON document with --json.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ EXIT_PASS = 0
 EXIT_MATH_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PRECISION = 3
+EXIT_INTERNAL = 4
 
 COMPLEMENT_RULE = "echelon-pivot-v1"
 
@@ -292,12 +295,12 @@ def _naming(ext, suite: str):
     """An error raised inside names the extension and the suite on stderr."""
     try:
         yield
-    except KnormError as exc:
+    except Exception as exc:
         exc.where = f"a={ext.label}, suite {suite}"
         raise
 
 
-def _where(exc: KnormError) -> str:
+def _where(exc: Exception) -> str:
     """The extension and suite an error names, if any, as a suffix."""
     return f" [{exc.where}]" if hasattr(exc, "where") else ""
 
@@ -467,6 +470,9 @@ def main(argv=None) -> int:
     except KnormError as exc:  # pragma: no cover
         print(f"error: {exc}{_where(exc)}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}{_where(exc)}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if getattr(args, "loaded_field", None) is not None:
             release_caches(args.loaded_field)

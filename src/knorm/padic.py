@@ -24,12 +24,13 @@ v_x).  Shifts rise whenever the ints prove more, and inverses, powers of
 pi and the integral basis carry the shift their valuation proves, so a
 unit keeps shift 0 even where L is smaller than O.  A product adds
 the product of every pair of nonzero ints into its slot of the unreduced
-product, where each step's degree may reach 2d - 2, then reduces once by
-the step polynomials, each level's nonzero blocks before the level
-above, modulo p^(N-v+2k), and divides by p^k.  An inverse is pi^-v
-times the inverse of the unit x * pi^-v, which Newton's iteration
-y <- y + y * (1 - x * y) reaches from the lift of the residue inverse;
-the one integer elimination of a field is the one that gives T below.
+product, where each step's degree may reach 2d - 2, then in one pass adds
+to each monomial's own slot the exact terms that the other nonzero slots
+reduce to under the step polynomials, from the field's reduction table
+(built once from its parent's), modulo p^(N-v+2k), and divides by p^k.
+An inverse is pi^-v times the inverse of the unit x * pi^-v, which
+Newton's iteration y <- y + y * (1 - x * y) reaches from the lift of the
+residue inverse; the one integer elimination of a field gives T below.
 
 Powers of pi need no inverse: pi^k = p^m * pi^r * eta^m for k = e*m + r,
 0 <= r < e, and the unit eta = pi^e / p, from ladders of pi^r and
@@ -550,28 +551,27 @@ class LocalField:
         mod = self.p ** (N - v + self.index)
         return (v, N, [-a % mod for a in X])
 
-    def _ring(self, level: int):
-        """(d, s, live, slots, size) of a level: its step degree d and block
-        size s, the live negated step coefficients (ints at level 1, int
-        lists above), and the slot of each monomial in the unreduced
-        product of the level, where every step's degree may reach 2d - 2,
-        with the number of slots."""
-        ring = self._caches.get(("ring", level))
-        if ring is None:
-            step = self.steps[level - 1]
-            d = step.degree
-            s = len(step.poly) // d
-            blocks = [[-c for c in step.poly[j * s : (j + 1) * s]] for j in range(d)]
-            live = [(j, b[0] if s == 1 else b) for j, b in enumerate(blocks) if any(b)]
-            slots, size = ([0], 1) if level == 1 else self._ring(level - 1)[3:]
-            slots = [i * size + j for i in range(d) for j in slots]
-            ring = self._caches[("ring", level)] = (d, s, live, slots, size * (2 * d - 1))
-        return ring
+    def _table(self):
+        """(slots, size, over), the reduction table: the slot of each
+        monomial in the unreduced product, where every step's degree may
+        reach 2d - 2, the number of slots, and (slot, pairs) for each other
+        slot, pairs the exact (monomial, int) terms it reduces to under the
+        step polynomials; built once, from the parent's and the top step."""
+        table = self._caches.get("table")
+        if table is None:
+            if self._parent is None:
+                table = ([0], 1, ())
+            else:
+                step = self.steps[-1]
+                table = _grow_table(self._parent._table(), step.poly, step.degree)
+            self._caches["table"] = table
+        return table
 
     def _mul(self, x, y):
         """Product, known to min(N_x + v_y, N_y + v_x): one integer product
-        of the monomial ints, divided by p^k for the index k, which divides
-        it exactly since x * y lies in p^(v_x + v_y) O."""
+        of the monomial ints, pairwise products into the slots and one pass
+        of the reduction table, divided by p^k for the index k, which
+        divides it exactly since x * y lies in p^(v_x + v_y) O."""
         vx, Nx, X = x
         vy, Ny, Y = y
         if Nx == _INF or Ny == _INF:
@@ -580,62 +580,31 @@ class LocalField:
         if N <= v:
             return (N, N, [0] * self.degree)
         mod, pk = self.p ** (N - v + 2 * k), self.p**k
-        Z = self._ints_mul(self.level, [a % mod for a in X], [a % mod for a in Y], mod)
+        Z = self._ints_mul([a % mod for a in X], [a % mod for a in Y], mod)
         if k:
             if any(a % pk for a in Z):
                 raise MathCheckError("a product left the lattice of its ring of integers")
             Z = [a // pk for a in Z]
         return self._data(v, N, Z)
 
-    def _ints_mul(self, level: int, X, Y, mod: int) -> list[int]:
-        """Monomial ints of X * Y at a level, modulo mod: every product of
-        two nonzero ints lands in its slot of the unreduced product, which
-        is then reduced once."""
-        if level == 0:
-            return [X[0] * Y[0] % mod]
-        slots, size = self._ring(level)[3:]
+    def _ints_mul(self, X, Y, mod: int) -> list[int]:
+        """Monomial ints of X * Y modulo mod: every product of two nonzero
+        ints lands in its slot of the unreduced product, and one pass over
+        the other nonzero slots adds their terms to the monomials' own."""
+        slots, size, over = self._table()
         wide = [0] * size
         ys = [(t, b) for t, b in zip(slots, Y) if b]
         for t, a in zip(slots, X):
             if a:
                 for u, b in ys:
                     wide[t + u] += a * b
-        return self._reduce(level, wide, mod)
-
-    def _reduce(self, level: int, wide: list[int], mod: int) -> list[int]:
-        """Reduce the slots of an unreduced level product: each top-step
-        block at the levels below, then the top step."""
-        if level == 1:
-            return self._reduce_top(1, wide, mod)
-        d, sub = self._ring(level)[0], self._ring(level - 1)[4]
-        blocks = [wide[i * sub : (i + 1) * sub] for i in range(2 * d - 1)]
-        blocks = [self._reduce(level - 1, b, mod) if any(b) else None for b in blocks]
-        return self._reduce_top(level, blocks, mod)
-
-    def _reduce_top(self, level: int, conv: list, mod: int) -> list[int]:
-        """Reduce the 2d - 1 top-step blocks of a product (ints at level 1,
-        int lists above, None for zero) by the step polynomial, from the
-        highest block down, skipping zeros; the result modulo mod."""
-        d, s, live = self._ring(level)[:3]
-        if level == 1:
-            for i in range(2 * d - 2, d - 1, -1):
-                h = conv[i]
-                if h:
-                    for j, c in live:
-                        conv[i - d + j] += h * c
-            return [c % mod for c in conv[:d]]
-        live = self._caches.get(("ring", level, mod))
-        if live is None:
-            live = [(j, [a % mod for a in c]) for j, c in self._ring(level)[2]]
-            self._caches[("ring", level, mod)] = live
-        for i in range(2 * d - 2, d - 1, -1):
-            h = conv[i]
-            if h is not None and any(h):
-                h = [c % mod for c in h]
-                for j, c in live:
-                    t, u = self._ints_mul(level - 1, h, c, mod), conv[i - d + j]
-                    conv[i - d + j] = t if u is None else [a + b for a, b in zip(u, t)]
-        return [c % mod for u in conv[:d] for c in ([0] * s if u is None else u)]
+        out = [wide[t] for t in slots]
+        for t, pairs in over:
+            w = wide[t]
+            if w:
+                for m, c in pairs:
+                    out[m] += w * c
+        return [a % mod for a in out]
 
     def _pow_raw(self, x, k: int):
         """x^k for k >= 0, by binary powering."""
@@ -1242,6 +1211,47 @@ class LocalField:
             if c:
                 acc = self._mul(acc, self._pow_raw(e.data, c))
         return PadicElement(self, acc)
+
+
+def _grow_table(table, poly: list[int], d: int):
+    """The reduction table of a step of degree d, with low coefficients
+    poly, over a level with the given table.  Slot i * W + t, W the slot
+    count below, holds gen^i times what slot t holds below: the level's
+    table reduces t, and gen^i, for i >= d, comes down by gen^d = -sum
+    c_j * gen^j, one power of gen at a time."""
+    slots, size, over = table
+    s = len(slots)
+    below = dict(over)  # slot -> ((monomial, int), ...)
+    below.update((t, ((m, 1),)) for m, t in enumerate(slots))
+    # powers[k][m] = gen^(d + k) * b_m as {monomial: int}, b_m below
+    first = [{} for _ in range(s)]
+    for j in range(d):
+        for k, c in enumerate(poly[j * s : (j + 1) * s]):
+            if c:
+                for m, acc in enumerate(first):
+                    for r, a in below[slots[k] + slots[m]]:
+                        acc[j * s + r] = acc.get(j * s + r, 0) - c * a
+    powers, high = [first], (d - 1) * s
+    for _ in range(d - 2):
+        times_gen = []
+        for prev in powers[-1]:
+            acc = {}
+            for r, c in prev.items():
+                for u, a in first[r - high].items() if r >= high else ((r + s, 1),):
+                    acc[u] = acc.get(u, 0) + c * a
+            times_gen.append(acc)
+        powers.append(times_gen)
+    grown = [i * size + j for i in range(d) for j in slots]
+    own, over = set(grown), []
+    for i in range(2 * d - 1):
+        for t, pairs in below.items():
+            if i * size + t not in own:
+                row = {}
+                for m, c in pairs:
+                    for r, a in powers[i - d][m].items() if i >= d else ((i * s + m, 1),):
+                        row[r] = row.get(r, 0) + c * a
+                over.append((i * size + t, tuple((r, a) for r, a in row.items() if a)))
+    return grown, size * (2 * d - 1), tuple(over)
 
 
 def _fp_irreducible(p: int, deg: int):

@@ -27,7 +27,7 @@ class EliminationInverse:
         n, mod = self.degree, self.p**prec
         X = [a % mod for a in x[2]]
         units = [[int(i == j) for i in range(n)] for j in range(n)]
-        cols = [self._ints_mul(self.level, X, unit, mod) for unit in units]
+        cols = [self._ints_mul(X, unit, mod) for unit in units]
         return [list(row) for row in zip(*cols)]
 
     def _solve(self, mat, rhs, prec: int):

@@ -383,6 +383,27 @@ def test_an_error_mid_enumeration_names_the_extension_and_the_suite(
     assert err == f"precision error: injected [a=2*5, suite {suite}]\n"
 
 
+@pytest.mark.parametrize(
+    "suite, target",
+    [("canonical", "check_canonical"), ("sequences", "projection_formula_check")],
+)
+def test_an_internal_error_exits_4_with_one_line(monkeypatch, capsys, suite, target):
+    """An exception that is not a knorm error, such as running out of
+    memory, exits 4 (not 1, a failed check) with one line on stderr that
+    names the extension and the suite, no traceback and an empty stdout."""
+    real = getattr(cli, target)
+
+    def exhausted(ext, *args):
+        if ext.label == "2*5":
+            raise MemoryError("injected")
+        return real(ext, *args)
+
+    monkeypatch.setattr(cli, target, exhausted)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--preset", "Q2", "--json")
+    assert (code, out) == (cli.EXIT_INTERNAL, "") and cli.EXIT_INTERNAL == 4
+    assert err == f"internal error: MemoryError: injected [a=2*5, suite {suite}]\n"
+
+
 def test_main_frees_the_loaded_field(monkeypatch, capsys):
     """With automatic collection off, the field dies when main returns."""
     loaded = []

@@ -13,6 +13,7 @@ value and the honesty of the stated precision.
 """
 
 import functools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,7 +211,7 @@ def lattice_ints(draw, f, level, bound):
     if level == 0:
         return [draw(st.integers(0, bound - 1))]
     if level < f.level and draw(st.integers(0, 3)) == 0:
-        return [0] * len(f._ring(level)[3])
+        return [0] * math.prod(step.degree for step in f.steps[:level])
     d = f.steps[level - 1].degree
     return [a for _ in range(d) for a in draw(lattice_ints(f, level - 1, bound))]
 
