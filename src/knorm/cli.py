@@ -312,9 +312,11 @@ def _extensions(field: LocalField, args) -> list:
     return enumerate_extension_classes(field)
 
 
-def _finish(args, report: dict, lines: list[str], ok: bool) -> int:
+def _finish(args, report: dict, lines: list[str] | None, ok: bool) -> int:
+    """Set the status and print the report; ``lines`` is read only without --json."""
     report["status"] = "pass" if ok else "fail"
-    lines.append(f"status: {report['status']}")
+    if not args.json:
+        lines.append(f"status: {report['status']}")
     _emit(report, args.json, lines)
     return EXIT_PASS if ok else EXIT_MATH_FAIL
 
@@ -381,6 +383,7 @@ def cmd_euler(args) -> int:
 
 
 def _verify_canonical(ext, degrees, results, lines) -> bool:
+    """The canonical suite on ext; ``lines`` is None under --json."""
     ok = True
     for n in degrees:
         checks = {
@@ -391,24 +394,28 @@ def _verify_canonical(ext, degrees, results, lines) -> bool:
         results.append({"a": ext.label, "n": n, **{k: entry for k, (_, entry) in checks.items()}})
         good = all(passed for passed, _ in checks.values())
         ok = ok and good
-        lines.append(f"canonical a={ext.label} n={n}: {'pass' if good else 'FAIL'}")
-        for _, entry in checks.values():
-            lines += _failures(entry)
+        if lines is not None:
+            lines.append(f"canonical a={ext.label} n={n}: {'pass' if good else 'FAIL'}")
+            for _, entry in checks.values():
+                lines += _failures(entry)
     return ok
 
 
 def _verify_sequences(ext, degrees, results, lines) -> bool:
+    """The sequences suite on ext; ``lines`` is None under --json."""
     label = ext.label
-    runs = [(f"twisted-norm a={label} n={n}", "hilbert90", verify_hilbert90(ext, n))
-            for n in sorted(set(min(n, 3) for n in degrees) | {0})]
-    runs += [(f"four-term a={label} m={m}", "four_term", verify_voevodsky_seq(ext, m))
-             for m in (1, 2, 3)]
-    runs.append((f"projection formula a={label}", "projection_formula",
-                 projection_formula_check(ext)))
-    for line, key, (passed, entry) in runs:
-        results.append({"a": label, key: entry})
-        lines.append(f"{line}: {'pass' if passed else 'FAIL'}")
-    return all(passed for _, _, (passed, _) in runs)
+    twisted = sorted(set(min(n, 3) for n in degrees) | {0})
+    runs = [("hilbert90", verify_hilbert90(ext, n)) for n in twisted]
+    runs += [("four_term", verify_voevodsky_seq(ext, m)) for m in (1, 2, 3)]
+    runs.append(("projection_formula", projection_formula_check(ext)))
+    results += [{"a": label, key: entry} for key, (_, entry) in runs]
+    if lines is not None:
+        names = ([f"twisted-norm a={label} n={n}" for n in twisted]
+                 + [f"four-term a={label} m={m}" for m in (1, 2, 3)]
+                 + [f"projection formula a={label}"])
+        lines += [f"{name}: {'pass' if passed else 'FAIL'}"
+                  for name, (_, (passed, _)) in zip(names, runs)]
+    return all(passed for _, (passed, _) in runs)
 
 
 def cmd_verify(args) -> int:
@@ -417,7 +424,8 @@ def cmd_verify(args) -> int:
     field, report = _field_report(args)
     degrees = _degrees(args)
     exts = _extensions(field, args)
-    lines = [f"verifying {len(exts)} extension(s), degrees {degrees}, suite {args.suite}"]
+    lines = None if args.json else [
+        f"verifying {len(exts)} extension(s), degrees {degrees}, suite {args.suite}"]
     ok = True
     for suite, run in (("canonical", _verify_canonical), ("sequences", _verify_sequences)):
         if args.suite in (suite, "all"):
@@ -430,7 +438,8 @@ def cmd_verify(args) -> int:
             report["results"] += [{"euler": e} for _, e in checks]
             report["results"].append({"corollary": entry})
             good = all(p for p, _ in checks) and passed
-            lines.append(f"euler n={n}: identities {'pass' if good else 'FAIL'}; {doubling}")
+            if lines is not None:
+                lines.append(f"euler n={n}: identities {'pass' if good else 'FAIL'}; {doubling}")
             ok = ok and good
     return _finish(args, report, lines, ok)
 

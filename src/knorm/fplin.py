@@ -6,7 +6,9 @@ are equal iff their stored bases are identical arrays.  That canonicality
 is what makes every "choose a complement" step elsewhere in the package
 reproducible.  Each subspace also keeps its pivot columns, so membership
 needs no elimination, and kernel and intersect_and_sum (Zassenhaus) are
-one echelon split each.
+one echelon split each.  Every elimination is one call of ``rref``, a
+Gauss-Jordan kernel that leaves its working matrix unreduced between
+pivots and touches only the rows and columns a pivot can change.
 """
 
 from __future__ import annotations
@@ -59,7 +61,18 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over F_p.
 
     Returns (R, pivot_cols).  R contains only the nonzero rows; pivots are
-    normalized to 1 and their columns cleared above and below.
+    normalized to 1 and their columns cleared above and below.  The input
+    may hold any int64 entries and is left unchanged.
+
+    Gauss-Jordan on a working copy that stays unreduced between pivots:
+    each step reduces only the pivot column, which finds the pivot and the
+    rows to clear, and the pivot row before it is scaled, and the rank-1
+    update touches only those rows, from the pivot column on (the pivot
+    row and every row below it are zero mod p to its left).  The kept rows
+    are reduced once, at the end.  A working entry starts in [0, p) and
+    each update moves it by at most (p-1)^2, while a pivot row is reset to
+    [0, p); so every entry stays below p + rank*(p-1)^2 in absolute value,
+    which int64 holds for every p < 2^16 up to rank 2^31.
     """
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
@@ -68,21 +81,26 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[:, c] % p
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        col = a[:, c].copy()
+        row = a[pr, c:] % p
+        row *= pow(int(col[pr]), -1, p)
+        row %= p
+        if pr != r:  # rows r and pr swap; left of c both are zero mod p
+            a[pr, c:] = a[r, c:]
+            col[pr] = col[r]
+        a[r, c:] = row
         col[r] = 0
-        # One rank-1 update clears the pivot column in all other rows.
-        a -= np.outer(col, a[r])
-        a %= p
+        # One rank-1 update clears the pivot column in the other live rows.
+        live = col.nonzero()[0]
+        if live.size:
+            a[live, c:] -= np.multiply.outer(col[live], row)
         pivots.append(c)
         r += 1
-    return a[: len(pivots)], pivots
+    return a[:r] % p, pivots
 
 
 class FpMatrix:

@@ -145,12 +145,15 @@ def omega_image(m: GModule, i: int) -> Subspace:
 
 
 def fixed_filtration(m: GModule) -> list[Subspace]:
-    """K_i = image((sigma-1)^i) ∩ M^G for i = 0..p (K_0 = M^G, K_p = 0)."""
+    """K_i = image((sigma-1)^i) ∩ M^G for i = 0..p (K_0 = M^G, K_p = 0).
+
+    Each K_i is taken as image((sigma-1)^i) ∩ K_{i-1}, the same subspace
+    since the images decrease, from a smaller Zassenhaus matrix."""
     if "filtration" not in m.subspaces:
-        mg = fixed_points(m)
-        m.subspaces["filtration"] = [mg] + [
-            intersect_and_sum(omega_image(m, i), mg)[0] for i in range(1, m.p + 1)
-        ]
+        filt = [fixed_points(m)]
+        for i in range(1, m.p + 1):
+            filt.append(intersect_and_sum(omega_image(m, i), filt[-1])[0])
+        m.subspaces["filtration"] = filt
     return m.subspaces["filtration"]
 
 

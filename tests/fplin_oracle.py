@@ -6,12 +6,40 @@ other basis) under the basis and comparing ranks, the intersection from
 the kernel of [A; -B]^T after eliminating the stack for the sum, and the
 kernel from the free columns of the echelon form.  Every result is
 returned as a ``Subspace``, so it is compared in the canonical echelon
-form.
+form.  ``rref`` is the earlier Gauss-Jordan loop, which reduces the whole
+matrix mod p after every pivot, kept here as the reference for the lazily
+reduced kernel.
 """
 
 import numpy as np
 
-from knorm.fplin import FpMatrix, MathInternal, Subspace, rref
+from knorm.fplin import FpMatrix, MathInternal, Subspace
+
+
+def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form over F_p: (nonzero rows, pivot columns)."""
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        # One rank-1 update clears the pivot column in all other rows.
+        a -= np.outer(col, a[r])
+        a %= p
+        pivots.append(c)
+        r += 1
+    return a[: len(pivots)], pivots
 
 
 def contains(sub: Subspace, vec) -> bool:

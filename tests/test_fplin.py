@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fplin_oracle as oracle
 from knorm.errors import InputError
@@ -281,3 +282,66 @@ def test_complement_keeps_echelon_form(pair):
     comp = complement(inner, outer)
     assert_echelon(comp)
     assert comp.dim == outer.dim - inner.dim
+
+
+# The lazily reduced kernel against the earlier loop that reduced the whole
+# matrix after every pivot (tests/fplin_oracle.py).  The draw runs from 0x0
+# to 12x24, moduli up to the largest supported prime, with low rank, zero
+# rows and columns, negative and unreduced entries, and strided,
+# transposed and reversed views.
+
+rref_primes = st.sampled_from([2, 3, 5, 7, 65521])
+
+
+@st.composite
+def int_matrices(draw):
+    """(p, matrix): an int64 array or a non-contiguous view of one."""
+    p = draw(rref_primes)
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 24))
+    rank = draw(st.integers(0, min(rows, cols)))
+    left = draw(arrays(np.int64, (rows, rank), elements=st.integers(0, p - 1)))
+    right = draw(arrays(np.int64, (rank, cols), elements=st.integers(0, p - 1)))
+    lift = draw(arrays(np.int64, (rows, cols), elements=st.integers(-4, 4)))
+    a = left @ right + p * lift  # unreduced, and negative where lift is
+    if rows and draw(st.booleans()):
+        a[draw(st.lists(st.integers(0, rows - 1), max_size=3))] = 0
+    if cols and draw(st.booleans()):
+        a[:, draw(st.lists(st.integers(0, cols - 1), max_size=3))] = 0
+    view = draw(st.sampled_from(["plain", "strided", "transposed", "reversed"]))
+    if view == "strided":
+        big = np.zeros((2 * rows, 3 * cols), dtype=np.int64)
+        big[::2, 1::3] = a
+        return p, big[::2, 1::3]
+    if view == "transposed":
+        return p, np.ascontiguousarray(a.T).T
+    if view == "reversed":
+        return p, a[::-1, ::-1].copy()[::-1, ::-1]
+    return p, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_lazy_rref_matches_the_reduce_every_pivot_loop(pm):
+    p, mat = pm
+    before = mat.copy()
+    red, pivots = rref(mat, p)
+    want, want_pivots = oracle.rref(mat, p)
+    assert pivots == want_pivots
+    assert red.dtype == np.int64 and red.shape == (len(pivots), mat.shape[1])
+    assert np.array_equal(red, want)
+    assert np.array_equal(mat, before)
+
+
+def test_lazy_rref_on_a_tall_matrix_at_the_largest_prime():
+    """Rank 80 at p = 65521: working entries can reach 80 (p-1)^2, about
+    2^38, between pivots, and the result must agree with the oracle."""
+    p = 65521
+    rng = np.random.default_rng(20)
+    left = rng.integers(0, p, size=(200, 80))
+    right = rng.integers(0, p, size=(80, 96))
+    mat = left @ right - p * rng.integers(0, 3, size=(200, 96))
+    red, pivots = rref(mat, p)
+    want, want_pivots = oracle.rref(mat, p)
+    assert len(pivots) >= 64
+    assert pivots == want_pivots
+    assert np.array_equal(red, want)

@@ -9,6 +9,7 @@ from knorm.gmod import (
     GModule,
     SummandProfile,
     decompose,
+    fixed_filtration,
     fixed_points,
     length_of,
     multiplicity_oracle,
@@ -226,3 +227,20 @@ def test_reassembly_property(m):
     assert model.dim == m.dim
     for i in range(m.p + 1):
         assert model.shift_power(i).rank() == m.shift_power(i).rank()
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugated_modules())
+def test_chained_filtration_is_the_intersection_with_the_fixed_points(m):
+    """K_i = image((sigma-1)^i) ∩ K_{i-1} gives the list image((sigma-1)^i) ∩ M^G,
+    and decompose reads the same summands off either list."""
+    mg = fixed_points(m)
+    direct = [mg] + [intersect_and_sum(omega_image(m, i), mg)[0] for i in range(1, m.p + 1)]
+    assert fixed_filtration(m) == direct
+    twin = GModule(m.p, m.sigma)
+    twin.subspaces["filtration"] = direct
+    chained, reference = decompose(m), decompose(twin)
+    for i in range(1, m.p + 1):
+        assert chained.summand_bases[i] == reference.summand_bases[i]
+        assert [g.tolist() for g in chained.generators[i]] == [
+            g.tolist() for g in reference.generators[i]]
