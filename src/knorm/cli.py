@@ -5,7 +5,17 @@ Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 bad
 input, 3 precision exhausted, 4 internal error: any other exception,
 such as a MemoryError, which prints one line on stderr, naming the
 extension and suite it was raised in, and no traceback.  Reports go to
-stdout, human-readable by default and as a JSON document with --json.
+stdout, human-readable by default and as a JSON document with --json,
+written piece by piece once the run has ended; a run that raises writes
+nothing to stdout.
+
+verify and euler run class by class: each class's top is built on its
+turn (milnor.get_extension), every selected suite and degree runs on
+it, and then it is dropped (milnor.drop_extension) before the next
+class comes up.  The report still lists its results suite by suite, in
+the order of the classes.  So when two classes would fail, the error
+named is that of the first class to fail, whichever its suite, not the
+first failure of the earliest suite.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .euler import (
     theorem3_check,
 )
 from .milnor import (
+    drop_extension,
     get_extension,
     k_group,
     projection_formula_check,
@@ -214,10 +225,30 @@ def _report_skeleton(field_info: dict | None) -> dict:
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(_to_json(report))
+        _write_json(report, sys.stdout.write)
     else:
         for line in lines:
             print(line)
+
+
+def _write_json(report: dict, write) -> None:
+    """Write the bytes of ``print(_to_json(report))`` through ``write``, for
+    a nonempty report, one top-level value, or one item of a top-level
+    list, at a time: the document is never held as one string."""
+    sep = "{\n  "
+    for key, value in report.items():
+        write(f"{sep}{_quote(key)}: ")
+        sep = ",\n  "
+        if type(value) in (list, tuple) and value:
+            lead = "[\n    "
+            for item in value:
+                write(lead)
+                write(_to_json(item, "\n    "))
+                lead = ",\n    "
+            write("\n  ]")
+        else:
+            write(_to_json(value, "\n  "))
+    write("\n}\n")
 
 
 def _field_report(args) -> tuple[LocalField, dict]:
@@ -305,11 +336,21 @@ def _where(exc: Exception) -> str:
     return f" [{exc.where}]" if hasattr(exc, "where") else ""
 
 
-def _extensions(field: LocalField, args) -> list:
-    """The extension named by --a, or every extension class of the field."""
+def _classes(field: LocalField, args) -> list:
+    """The element named by --a, or the key of every extension class of
+    the field: what get_extension takes, with no top built yet."""
     if args.a:
-        return [get_extension(field, _resolve_a(field, args.a))]
+        return [_resolve_a(field, args.a)]
     return enumerate_extension_classes(field)
+
+
+def _each_extension(field: LocalField, classes):
+    """The extension of each class, built on its turn and dropped when the
+    caller asks for the next one."""
+    for cls in classes:
+        ext = get_extension(field, cls)
+        yield ext
+        drop_extension(ext)
 
 
 def _finish(args, report: dict, lines: list[str] | None, ok: bool) -> int:
@@ -337,15 +378,15 @@ def _run_manual(args) -> int:
     return EXIT_PASS if passed else EXIT_MATH_FAIL
 
 
-def _euler_rows(exts, degrees):
-    """Per degree: the degree, the extensions' profiles and their identity
-    checks, each a (passed, entry) pair."""
-    for n in degrees:
-        profs = []
-        for ext in exts:
-            with _naming(ext, "euler"):
-                profs.append(profile_from_field(ext, n))
-        yield n, profs, [theorem3_check(prof) for prof in profs]
+def _euler_class(ext, degrees, rows) -> None:
+    """Append to rows[i] the profile of ext in degrees[i] and its identity
+    check, as (profile, passed, entry).  The kept profile holds no
+    extension, since the corollary reads only its numbers."""
+    with _naming(ext, "euler"):
+        for row, n in zip(rows, degrees):
+            prof = profile_from_field(ext, n)
+            row.append((prof, *theorem3_check(prof)))
+            prof.ext = None
 
 
 def _corollary(profs):
@@ -364,18 +405,22 @@ def cmd_euler(args) -> int:
     if args.manual:
         return _run_manual(args)
     field, report = _field_report(args)
+    degrees = _degrees(args, default=(2,))
+    rows = [[] for _ in degrees]
+    for ext in _each_extension(field, _classes(field, args)):
+        _euler_class(ext, degrees, rows)
     lines: list[str] = []
     ok = True
-    for n, profs, checks in _euler_rows(_extensions(field, args), _degrees(args, default=(2,))):
-        for prof, (passed, entry) in zip(profs, checks):
+    for n, row in zip(degrees, rows):
+        for prof, passed, entry in row:
             report["results"].append(entry)
             lines.append(
                 f"n={n} a={prof.label}: chi_T = {entry['chi_T']}, chi_N = {entry['chi_N']}, "
                 f"{'pass' if passed else 'FAIL'}"
             )
             ok = ok and passed
-        if len(profs) > 1:
-            passed, entry, doubling = _corollary(profs)
+        if len(row) > 1:
+            passed, entry, doubling = _corollary([prof for prof, _, _ in row])
             report["results"].append({"corollary": entry})
             lines.append(f"n={n}: {doubling}")
             ok = ok and passed
@@ -423,24 +468,32 @@ def cmd_verify(args) -> int:
         return _run_manual(args)
     field, report = _field_report(args)
     degrees = _degrees(args)
-    exts = _extensions(field, args)
+    classes = _classes(field, args)
     lines = None if args.json else [
-        f"verifying {len(exts)} extension(s), degrees {degrees}, suite {args.suite}"]
+        f"verifying {len(classes)} extension(s), degrees {degrees}, suite {args.suite}"]
+    # per suite, the results and text lines of every class so far
+    suites = [(suite, run, [], None if lines is None else [])
+              for suite, run in (("canonical", _verify_canonical), ("sequences", _verify_sequences))
+              if args.suite in (suite, "all")]
+    rows = [[] for _ in degrees] if args.suite in ("euler", "all") else []
     ok = True
-    for suite, run in (("canonical", _verify_canonical), ("sequences", _verify_sequences)):
-        if args.suite in (suite, "all"):
-            for ext in exts:
-                with _naming(ext, suite):
-                    ok = run(ext, degrees, report["results"], lines) and ok
-    if args.suite in ("euler", "all"):
-        for n, profs, checks in _euler_rows(exts, degrees):
-            passed, entry, doubling = _corollary(profs)
-            report["results"] += [{"euler": e} for _, e in checks]
-            report["results"].append({"corollary": entry})
-            good = all(p for p, _ in checks) and passed
-            if lines is not None:
-                lines.append(f"euler n={n}: identities {'pass' if good else 'FAIL'}; {doubling}")
-            ok = ok and good
+    for ext in _each_extension(field, classes):
+        for suite, run, results, text in suites:
+            with _naming(ext, suite):
+                ok = run(ext, degrees, results, text) and ok
+        _euler_class(ext, degrees, rows)
+    for _, _, results, text in suites:
+        report["results"] += results
+        if lines is not None:
+            lines += text
+    for n, row in zip(degrees, rows):
+        passed, entry, doubling = _corollary([prof for prof, _, _ in row])
+        report["results"] += [{"euler": e} for _, _, e in row]
+        report["results"].append({"corollary": entry})
+        good = all(p for _, p, _ in row) and passed
+        if lines is not None:
+            lines.append(f"euler n={n}: identities {'pass' if good else 'FAIL'}; {doubling}")
+        ok = ok and good
     return _finish(args, report, lines, ok)
 
 

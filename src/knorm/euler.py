@@ -10,12 +10,16 @@ against the extension's K-groups computed directly, and the two
 characteristic identities are verified exactly.  The two checkers,
 theorem3_check and corollary_checks, return (passed, entry): their own
 verdict and the JSON-ready report entry, which the CLI prints as it is.
+theorem3_check reads a field profile's extension; corollary_checks reads
+only the numbers (p, n, h, a, d, label, minus_one_norm), so the CLI keeps
+for it profiles whose ``ext`` is None, and frees each class's top after
+its turn.
 """
 
 from __future__ import annotations
 
 from .errors import InputError, MathCheckError, UnsupportedOperationError
-from .milnor import _class_key, get_extension, k_dim, k_group, norm_subgroup, xi_class
+from .milnor import _class_key, k_dim, k_group, norm_subgroup, xi_class
 from .padic import KummerExtension, LocalField
 from .structure import structure_context
 
@@ -249,11 +253,13 @@ def _chi_free(profile: CohomologyProfile) -> int | None:
 MAX_CLASSES = 3906  # the class count of the largest preset, Q5(zeta_5)
 
 
-def enumerate_extension_classes(field: LocalField) -> list[KummerExtension]:
-    """All Kummer extensions of the field, one per line of k_1.
+def enumerate_extension_classes(field: LocalField) -> list[tuple]:
+    """The key of every Kummer extension class of the field, one per line
+    of k_1, in the order of its classes; milnor.get_extension builds the
+    top of a class from its key, so none is built here.
 
     The count is (p^dim - 1)/(p - 1); above dimension 8 or MAX_CLASSES
-    classes it is refused, before any top is built.
+    classes it is refused.
     """
     grp = k_group(field, 1)
     expected = (field.p**grp.dim - 1) // (field.p - 1)
@@ -261,19 +267,12 @@ def enumerate_extension_classes(field: LocalField) -> list[KummerExtension]:
         raise UnsupportedOperationError(
             f"enumerating {expected} extensions is above the supported size"
         )
-    exts = []
-    seen = set()
-    for cls in grp.classes():
-        if cls.is_zero():
-            continue
-        key = _class_key(field, cls.coords)
-        if key in seen:
-            continue
-        seen.add(key)
-        exts.append(get_extension(field, cls))
-    if len(exts) != expected:
-        raise MathCheckError(f"enumerated {len(exts)} extensions, expected {expected}")
-    return exts
+    keys = list(dict.fromkeys(
+        _class_key(field, cls.coords) for cls in grp.classes() if not cls.is_zero()
+    ))
+    if len(keys) != expected:
+        raise MathCheckError(f"enumerated {len(keys)} extensions, expected {expected}")
+    return keys
 
 
 def corollary_checks(profiles: list[CohomologyProfile]) -> tuple[bool, dict]:

@@ -20,7 +20,8 @@ for odd p the identification of k_2 with F_p, which no kernel, image or
 vanishing statement can observe.  How that scalar varies from one class
 a to another is not pinned, so for odd p the nonzero value of a symbol
 is the generator of k_2 by convention only.  _norm_hyperplane is the one
-place N_a is read, by symbol and by cup_with; the annihilator of a in
+place N_a is read, by symbol and by cup_with; the field keeps it per
+class, so it outlives the top it came from.  The annihilator of a in
 k_{n-1} is the kernel of cup_with(field, a, n).
 """
 
@@ -43,6 +44,7 @@ __all__ = [
     "k1_group",
     "class_of",
     "get_extension",
+    "drop_extension",
     "release_caches",
     "norm_subgroup",
     "symbol",
@@ -257,6 +259,8 @@ def _class_key(field: LocalField, coords) -> tuple:
 
 
 def _as_k1_coords(field: LocalField, a) -> list[int]:
+    if isinstance(a, tuple):  # a class key, as enumerations list them
+        a = KClass(k_group(field, 1), a)
     if isinstance(a, KClass):
         if a.group.field is not field or a.group.n != 1:
             raise InputError("expected a k_1 class of the given field")
@@ -265,11 +269,12 @@ def _as_k1_coords(field: LocalField, a) -> list[int]:
         if a.field is not field:
             raise InputError("element belongs to a different field")
         return field.k1_coords(a)
-    raise InputError("expected a k_1 class or a field element")
+    raise InputError("expected a k_1 class, a class key or a field element")
 
 
 def get_extension(field: LocalField, a) -> KummerExtension:
-    """The Kummer extension attached to the class of a, cached per class."""
+    """The Kummer extension attached to the class of a, cached per class
+    until drop_extension or release_caches."""
     key = _class_key(field, _as_k1_coords(field, a))
     cache = field._caches.setdefault("kummer_exts", {})
     if key not in cache:
@@ -286,9 +291,23 @@ def release_caches(field: LocalField) -> None:
     once, without a full garbage collection.
     """
     for ext in field._caches.get("kummer_exts", {}).values():
-        ext.cache.clear()
-        release_caches(ext.top)
+        _release(ext)
     field._caches.clear()
+
+
+def drop_extension(ext: KummerExtension) -> None:
+    """Release one extension and forget it in its base's cache, so that
+    its top is freed; a later get_extension of its class builds it anew.
+    The base keeps the norm hyperplane of the class (_norm_hyperplane)."""
+    cache = ext.base._caches.get("kummer_exts", {})
+    for key in [key for key, kept in cache.items() if kept is ext]:
+        del cache[key]
+    _release(ext)
+
+
+def _release(ext: KummerExtension) -> None:
+    ext.cache.clear()
+    release_caches(ext.top)
 
 
 def _key_label(field: LocalField, key: tuple) -> str:
@@ -325,10 +344,15 @@ def defining_class(ext: KummerExtension) -> KClass:
 
 def _norm_hyperplane(field: LocalField, a_coords: list[int]) -> Subspace:
     """N_a, the classes b with (a, b) = 0: the norms from F(a^{1/p}),
-    all of k_1 for a trivial a."""
+    all of k_1 for a trivial a.  It is kept per class in the field's
+    cache, so it outlives the top it was read from (drop_extension)."""
     if not any(a_coords):
         return Subspace.full(field.p, k_dim(field, 1))
-    return norm_subgroup(get_extension(field, KClass(k_group(field, 1), a_coords)))
+    key = _class_key(field, a_coords)
+    cache = field._caches.setdefault("norm_hyperplanes", {})
+    if key not in cache:
+        cache[key] = norm_subgroup(get_extension(field, key))
+    return cache[key]
 
 
 def symbol(field: LocalField, a, b) -> KClass:

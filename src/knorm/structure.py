@@ -14,18 +14,20 @@ CLI prints as it is.
 
 Everything these steps and the Euler formulas read about one pair is
 built once, by structure_context, into a StructureContext kept in the
-extension's cache (milnor.release_caches empties it).  Its base side,
-built at once, holds the cup maps with a and (odd p) with xi, ann(a) in
-k_{n-1}(F), which is the kernel of the first, ann(a, xi), the pinned
-complement W, the cup image of ann(a, xi), and the norm map.  Its Galois
-side, a GaloisSide that galois() builds on the first call since the
-invariants and the Euler formulas never read it, holds the sigma-module,
-the restriction map, the restriction kernel, i_f = im res, i_n =
-im(res . norm), the restricted xi-cup map (odd p) and their sum.  The
-inclusion checks run once, as each side is built, and the invariants are
-compute_invariants of the pair, taken once.  Each subspace is eliminated once, and kept by what
-determines it: images and kernels of maps by their KMap, the fixed
-filtration by the GModule, the rest by the context.
+extension's cache, which milnor.drop_extension empties when the CLI is
+done with the class, and milnor.release_caches when it is done with the
+field.  Its base side, built at once, holds the cup maps with a and
+(odd p) with xi, ann(a) in k_{n-1}(F), which is the kernel of the first,
+ann(a, xi), the pinned complement W, the cup image of ann(a, xi), and
+the norm map.  Its Galois side, a GaloisSide that galois() builds on the
+first call since the invariants and the Euler formulas never read it,
+holds the sigma-module, the restriction map, the restriction kernel,
+i_f = im res, i_n = im(res . norm), the restricted xi-cup map (odd p)
+and their sum.  The inclusion checks run once, as each side is built,
+and the invariants are compute_invariants of the pair, taken once.
+Each subspace is eliminated once, and kept by what determines it:
+images and kernels of maps by their KMap, the fixed filtration by the
+GModule, the rest by the context.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ class GaloisSide:
 
 def structure_context(ext: KummerExtension, n: int) -> StructureContext:
     """The context of (ext, n), built on first use and kept in ext.cache,
-    which milnor.release_caches empties."""
+    which milnor.drop_extension and milnor.release_caches empty."""
     if n < 0:
         raise InputError("degree must be nonnegative")
     key = ("structure", n)

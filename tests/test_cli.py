@@ -1,14 +1,20 @@
+import contextlib
 import gc
+import io
 import json
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knorm import cli, fplin
+from knorm import euler as E
 from knorm import milnor as M
-from knorm.errors import PrecisionError
+from knorm.errors import MathCheckError, PrecisionError
 from knorm.fplin import FpMatrix
+from knorm.padic import KummerExtension, LocalField
+from knorm.presets import FIELD_PRESETS
 
 TWO_STEP_SPEC = (
     '{"p": 2, "steps": [{"kind": "eisenstein", "coeffs": [-2, 0]}, '
@@ -488,3 +494,118 @@ def test_presentation_changes_no_euler_row(capsys):
         results.append(report["results"])
     assert len(results[0]) == 32
     assert results[0] == results[1]
+
+
+# JSON leaves as reports hold them, NumPy scalars included
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), st.text(max_size=6),
+    st.floats(allow_nan=False), st.integers(-99, 99).map(np.int64), st.booleans().map(np.bool_),
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+_reports = st.fixed_dictionaries({
+    "version": st.text(max_size=5),
+    "complement_rule": st.text(max_size=5),
+    "field": st.none() | st.dictionaries(st.text(max_size=4), _values, max_size=3),
+    "results": st.lists(_values, max_size=5),
+    "status": st.sampled_from(["pass", "fail"]),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=_reports)
+def test_streamed_json_is_the_printed_document(report):
+    """--json writes print(_to_json(report))'s bytes, one top-level value or
+    one result at a time, never the document as one string."""
+    printed, streamed, pieces = io.StringIO(), io.StringIO(), []
+    with contextlib.redirect_stdout(printed):
+        print(cli._to_json(report))
+    real_write = streamed.write
+
+    def write(text):
+        pieces.append(text)
+        return real_write(text)
+
+    streamed.write = write
+    with contextlib.redirect_stdout(streamed):
+        cli._emit(report, True, [])
+    assert streamed.getvalue() == printed.getvalue()
+    assert len(pieces) > len(report) + len(report["results"])
+
+
+def test_each_top_lives_only_until_its_turn_ends(monkeypatch, capsys):
+    """Q3(zeta_3): at every class boundary the base keeps no top but xi's,
+    which the xi-cup of earlier classes reads, and only until xi's turn;
+    every top is built once."""
+    built, turns = [], []
+    real_init, real_drop = KummerExtension.__init__, cli.drop_extension
+
+    def init(self, base, *args, **kw):
+        real_init(self, base, *args, **kw)
+        if base.degree == 2:  # a top over Q3(zeta_3), not over one of its tops
+            built.append(self.label)
+
+    def drop(ext):
+        real_drop(ext)
+        alive = sorted(kept.label for kept in ext.base._caches["kummer_exts"].values())
+        turns.append((ext.base, ext.label, alive))
+
+    monkeypatch.setattr(KummerExtension, "__init__", init)
+    monkeypatch.setattr(cli, "drop_extension", drop)
+    assert cli.main(["verify", "--preset", "Q3zeta3", "--json"]) == 0
+    capsys.readouterr()
+    field = turns[0][0]
+    xi = M._key_label(field, M._class_key(field, M.xi_class(field).coords))
+    labels = [label for _, label, _ in turns]
+    assert len(labels) == len(set(built)) == len(built) == 40 and sorted(built) == sorted(labels)
+    xi_turn = labels.index(xi)
+    assert all(alive in ([], [xi]) for _, _, alive in turns[:xi_turn])
+    assert any(alive for _, _, alive in turns[:xi_turn])
+    assert all(alive == [] for _, _, alive in turns[xi_turn:])
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--suite", "euler"], ["euler"]])
+def test_no_profile_kept_for_the_corollary_holds_an_extension(monkeypatch, capsys, argv):
+    seen = []
+    real = cli.corollary_checks
+
+    def corollary(profs):
+        seen.extend(profs)
+        return real(profs)
+
+    monkeypatch.setattr(cli, "corollary_checks", corollary)
+    code, _, _ = run(capsys, *argv, "--preset", "Q2", "--n", "1", "2")
+    assert code == 0 and len(seen) == 14
+    assert all(prof.ext is None and prof.source == "local_field" for prof in seen)
+
+
+def test_enumerating_q5zeta5_builds_no_top(monkeypatch):
+    """The 3906 classes of Q5(zeta_5) come as keys; no KummerExtension is
+    constructed until get_extension is asked for one."""
+    field = LocalField.from_spec(dict(FIELD_PRESETS["Q5zeta5"]))
+    built = []
+    monkeypatch.setattr(KummerExtension, "__init__", lambda self, *args, **kw: built.append(args))
+    keys = E.enumerate_extension_classes(field)
+    assert len(keys) == len(set(keys)) == 3906 and built == []
+    assert "kummer_exts" not in field._caches
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_failed_check_in_one_class_writes_nothing_to_stdout(monkeypatch, capsys, json_flag):
+    """A MathCheckError raised in one class's sequences suite, after the
+    earlier classes ran every suite, exits 1 with an empty stdout and one
+    stderr line naming that class and suite."""
+    real = cli.verify_voevodsky_seq
+
+    def failing(ext, m):
+        if ext.label == "2*5":
+            raise MathCheckError("injected")
+        return real(ext, m)
+
+    monkeypatch.setattr(cli, "verify_voevodsky_seq", failing)
+    code, out, err = run(capsys, "verify", "--preset", "Q2", *json_flag)
+    assert (code, out) == (1, "")
+    assert err == "mathematical check failed: injected [a=2*5, suite sequences]\n"

@@ -127,7 +127,7 @@ def test_theorem3_q3(q3z):
 
 
 def test_corollary_full_q2(q2):
-    exts = E.enumerate_extension_classes(q2)
+    exts = [M.get_extension(q2, key) for key in E.enumerate_extension_classes(q2)]
     assert len(exts) == 7
     profs2 = [E.profile_from_field(e, 2) for e in exts]
     passed2, rep2 = E.corollary_checks(profs2)
