@@ -39,6 +39,7 @@ from .euler import (
     theorem3_check,
 )
 from .milnor import (
+    CD,
     drop_extension,
     get_extension,
     k_group,
@@ -64,6 +65,8 @@ EXIT_PRECISION = 3
 EXIT_INTERNAL = 4
 
 COMPLEMENT_RULE = "echelon-pivot-v1"
+
+DEGREES = tuple(range(1, CD + 2))  # by default, up to the first where k_* vanishes
 
 
 def _json_default(obj):
@@ -154,13 +157,19 @@ def _load_field(args) -> LocalField:
         spec = dict(FIELD_PRESETS[args.preset])
     elif getattr(args, "spec", None):
         text = args.spec
-        path = Path(text)
-        if path.is_file():
-            text = path.read_text()
+        try:
+            if Path(text).is_file():
+                text = Path(text).read_text()
+        except OSError:
+            pass  # too long to name a file, or unreadable: parsed as inline JSON
+        except UnicodeDecodeError as exc:
+            raise InputError(f"field spec file is not UTF-8 text: {exc.reason}") from exc
         try:
             spec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"unparseable field spec: {exc}") from exc
+        if not isinstance(spec, dict):  # before --precision is merged in
+            raise InputError("field spec must be an object with a 'p' entry")
     else:
         raise InputError("a field is required: --preset NAME or --spec JSON")
     if getattr(args, "precision", None) is not None:
@@ -175,9 +184,7 @@ def _resolve_a(field: LocalField, text: str) -> PadicElement:
         raise InputError("this command needs an extension element: --a VALUE")
     if text == "uniformizer":
         return field.pi
-    if text == "zeta":
-        if not field.has_mu_p:
-            raise InputError("the field has no primitive p-th root of unity")
+    if text == "zeta":  # every command checked that the field has one
         return field.zeta
     try:
         a = field.element(int(text))
@@ -194,7 +201,7 @@ def _resolve_a(field: LocalField, text: str) -> PadicElement:
     return a
 
 
-def _degrees(args, default=(1, 2, 3)) -> list[int]:
+def _degrees(args, default=DEGREES) -> list[int]:
     degrees = getattr(args, "n", None) or list(default)
     for n in degrees:
         if not 0 <= n <= 4:
@@ -274,7 +281,7 @@ def cmd_field(args) -> int:
 def cmd_kgroup(args) -> int:
     field, report = _field_report(args)
     lines = []
-    for n in _degrees(args, default=(0, 1, 2, 3)):
+    for n in _degrees(args, default=(0, *DEGREES)):
         grp = k_group(field, n)
         entry = {"n": n, "dim": grp.dim, "basis": grp.labels}
         report["results"].append(entry)
@@ -449,14 +456,14 @@ def _verify_canonical(ext, degrees, results, lines) -> bool:
 def _verify_sequences(ext, degrees, results, lines) -> bool:
     """The sequences suite on ext; ``lines`` is None under --json."""
     label = ext.label
-    twisted = sorted(set(min(n, 3) for n in degrees) | {0})
+    twisted = sorted(set(min(n, CD + 1) for n in degrees) | {0})
     runs = [("hilbert90", verify_hilbert90(ext, n)) for n in twisted]
-    runs += [("four_term", verify_voevodsky_seq(ext, m)) for m in (1, 2, 3)]
+    runs += [("four_term", verify_voevodsky_seq(ext, m)) for m in DEGREES]
     runs.append(("projection_formula", projection_formula_check(ext)))
     results += [{"a": label, key: entry} for key, (_, entry) in runs]
     if lines is not None:
         names = ([f"twisted-norm a={label} n={n}" for n in twisted]
-                 + [f"four-term a={label} m={m}" for m in (1, 2, 3)]
+                 + [f"four-term a={label} m={m}" for m in DEGREES]
                  + [f"projection formula a={label}"])
         lines += [f"{name}: {'pass' if passed else 'FAIL'}"
                   for name, (_, (passed, _)) in zip(names, runs)]

@@ -19,7 +19,8 @@ its turn.
 from __future__ import annotations
 
 from .errors import InputError, MathCheckError, UnsupportedOperationError
-from .milnor import _class_key, k_dim, k_group, norm_subgroup, xi_class
+from .fplin import _check_prime
+from .milnor import _class_key, defining_class, k_group, symbol, xi_class
 from .padic import KummerExtension, LocalField
 from .structure import structure_context
 
@@ -49,8 +50,7 @@ class CohomologyProfile:
     def __init__(self, p, n, h, a, source, ext=None, minus_one_norm=None, label=""):
         if n < 0:
             raise InputError("top degree must be nonnegative")
-        h = [int(v) for v in h]
-        a = [int(v) for v in a]
+        h, a = list(h), list(a)
         if len(h) != n + 1:
             raise InputError(f"h must list degrees 0..{n}")
         if len(a) != n:
@@ -114,11 +114,11 @@ def profile_from_field(ext: KummerExtension, n: int) -> CohomologyProfile:
     and a_i the annihilator dimensions of the defining class, read from
     the (extension, i + 1) contexts."""
     field = ext.base
-    h = [k_dim(field, i) for i in range(n + 1)]
+    h = [k_group(field, i).dim for i in range(n + 1)]
     a = [structure_context(ext, i + 1).ann_a.dim for i in range(1, n + 1)]
     minus_one = None
-    if field.p == 2:
-        minus_one = norm_subgroup(ext).contains(xi_class(field).coords)  # xi = -1
+    if field.p == 2:  # -1 = xi is a norm from E iff (a, xi) = 0
+        minus_one = symbol(field, defining_class(ext), xi_class(field)).is_zero()
     return CohomologyProfile(
         field.p, n, h, a, "local_field", ext=ext, minus_one_norm=minus_one,
         label=ext.label or "",
@@ -126,8 +126,8 @@ def profile_from_field(ext: KummerExtension, n: int) -> CohomologyProfile:
 
 
 def profile_from_manual(spec: dict) -> CohomologyProfile:
-    """Manual profile from the JSON structure
-    {"p":., "n":., "h":[..], "a":[..], "minus_one_norm":bool?}."""
+    """Manual profile from the JSON structure {"p": prime, "n": int,
+    "h": [int..], "a": [int..], "minus_one_norm": bool?, "label": str?}."""
     if not isinstance(spec, dict):
         raise InputError("manual profile must be an object")
     extra = set(spec) - {"p", "n", "h", "a", "minus_one_norm", "label"}
@@ -136,8 +136,17 @@ def profile_from_manual(spec: dict) -> CohomologyProfile:
     for key in ("p", "n", "h", "a"):
         if key not in spec:
             raise InputError(f"manual profile is missing {key!r}")
+    p, n, h, a = (spec[key] for key in ("p", "n", "h", "a"))
+    entries = [p, n] + (h if type(h) is list else [None]) + (a if type(a) is list else [None])
+    if any(type(v) is not int for v in entries):  # no bool, nor a float int() truncates
+        raise InputError("manual profile needs integers p and n and integer lists h and a")
+    _check_prime(p)
+    if not isinstance(spec.get("minus_one_norm", False), bool):
+        raise InputError("minus_one_norm must be true or false")
+    if not isinstance(spec.get("label", ""), str):
+        raise InputError("the manual-profile label must be a string")
     return CohomologyProfile(
-        int(spec["p"]), int(spec["n"]), spec["h"], spec["a"], "manual",
+        p, n, h, a, "manual",
         minus_one_norm=spec.get("minus_one_norm"), label=spec.get("label", ""),
     )
 
@@ -209,7 +218,7 @@ def theorem3_check(profile: CohomologyProfile) -> tuple[bool, dict]:
         variants_agree = True
         top = profile.ext.top
         for i in range(1, n + 1):
-            direct = k_dim(top, i)
+            direct = k_group(top, i).dim
             va = dim_HN_formula(profile, i, "a")
             agree = dims[i] == direct and va == dims[i]
             try:

@@ -50,10 +50,10 @@ def is_prime(n: int) -> bool:
 
 def _check_prime(p: int) -> int:
     p = int(p)
+    if p >= 1 << 16:  # first, as trial division above it is unbounded work
+        raise InputError(f"modulus {p} exceeds the supported bound 2^16")
     if not is_prime(p):
         raise InputError(f"modulus {p} is not prime")
-    if p >= 1 << 16:
-        raise InputError(f"prime modulus {p} exceeds the supported bound 2^16")
     return p
 
 

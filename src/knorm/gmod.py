@@ -148,12 +148,14 @@ def fixed_filtration(m: GModule) -> list[Subspace]:
     """K_i = image((sigma-1)^i) ∩ M^G for i = 0..p (K_0 = M^G, K_p = 0).
 
     Each K_i is taken as image((sigma-1)^i) ∩ K_{i-1}, the same subspace
-    since the images decrease, from a smaller Zassenhaus matrix."""
+    since the images decrease, from a smaller Zassenhaus matrix, unless
+    K_{i-1} = 0; K_p = 0 since GModule checked (sigma-1)^p = 0."""
     if "filtration" not in m.subspaces:
+        zero = Subspace.zero(m.p, m.dim)
         filt = [fixed_points(m)]
-        for i in range(1, m.p + 1):
-            filt.append(intersect_and_sum(omega_image(m, i), filt[-1])[0])
-        m.subspaces["filtration"] = filt
+        for i in range(1, m.p):
+            filt.append(intersect_and_sum(omega_image(m, i), filt[-1])[0] if filt[-1].dim else zero)
+        m.subspaces["filtration"] = filt + [zero]
     return m.subspaces["filtration"]
 
 

@@ -1,8 +1,10 @@
 """Mod-p Milnor K-groups of local fields and the maps of a Kummer step.
 
 For a local field F containing a p-th root of unity the groups k_n =
-K_n/p are finite: k_0 = F_p, k_1 = F^x/(F^x)^p of dimension [F:Q_p]+2,
-k_2 is one-dimensional, and everything above vanishes.  This module
+K_n/p are finite: k_0 = F_p, k_1 = F^x/(F^x)^p on the [F:Q_p]+2 units
+of padic's k1_structure, k_2 a line (Moore), and k_n = 0 above the
+cohomological dimension CD = 2.  CD and _LINES state that grading once,
+with what corestriction and restriction do on the lines.  This module
 builds those groups with explicit bases, the norm (corestriction),
 restriction, Galois and cup-product maps for a degree-p Kummer extension
 E/F, and the numerical verifications of the exactness statements tying
@@ -32,7 +34,7 @@ import random
 import numpy as np
 
 from .errors import InputError, MathCheckError
-from .fplin import FpMatrix, Subspace, image, kernel, kernel_image
+from .fplin import FpMatrix, Subspace, kernel, kernel_image
 from .gmod import GModule, norm_operator, omega_image
 from .padic import KummerExtension, LocalField, PadicElement
 
@@ -60,17 +62,12 @@ __all__ = [
 ]
 
 
-def k_dim(field: LocalField, n: int) -> int:
-    """Dimension of k_n for a local field with mu_p (zero for n >= 3)."""
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    if n == 1:
-        return field.degree + 2
-    if n == 2:
-        return 1
-    return 0
+CD = 2  # the cohomological dimension of a local field: k_n = 0 for n > CD
+
+# The lines of k_*: label, and the scalars of corestriction (times p on k_0,
+# onto between the k_2, whose generators it identifies) and restriction (the
+# identity on k_0; on k_2 times the degree p).  Other degrees but 1 are zero.
+_LINES = {0: {"label": "1", "cor": 0, "res": 1}, CD: {"label": "s", "cor": 1, "res": 0}}
 
 
 class KGroup:
@@ -138,11 +135,10 @@ class KMap:
     Every entry is exact, except that a degree-2 cup map at odd p is
     exact only up to one global scalar, the identification of k_2 with
     F_p (see cup_with); no kernel or image sees it.  The map keeps its
-    image and kernel, each computed once, on first use; the split that
-    gives the kernel gives the image too.
+    kernel and image from one split, made on the first use of either.
     """
 
-    __slots__ = ("source", "target", "matrix", "_image", "_kernel")
+    __slots__ = ("source", "target", "matrix", "_split")
 
     def __init__(self, source: KGroup, target: KGroup, matrix) -> None:
         mat = matrix if isinstance(matrix, FpMatrix) else FpMatrix(source.field.p, matrix)
@@ -154,24 +150,23 @@ class KMap:
         self.source = source
         self.target = target
         self.matrix = mat
-        self._image = self._kernel = None
+        self._split = None
 
     def apply(self, cls: KClass) -> KClass:
         if cls.group is not self.source:
             raise InputError("class is not in the source group")
         return KClass(self.target, self.matrix.apply(cls.coords))
 
-    def image(self) -> Subspace:
-        if self._image is None:
-            self._image = image(self.matrix)
-        return self._image
-
     def kernel(self) -> Subspace:
-        if self._kernel is None:
-            # perfbench/spans.py wraps kernel_image by name and its Q2 self-test
-            # needs a call: every Galois side reads the restriction kernel here
-            self._kernel, self._image = kernel_image(self.matrix)
-        return self._kernel
+        return self._kernel_image()[0]
+
+    def image(self) -> Subspace:
+        return self._kernel_image()[1]
+
+    def _kernel_image(self) -> tuple[Subspace, Subspace]:
+        if self._split is None:
+            self._split = kernel_image(self.matrix)
+        return self._split
 
     def image_of(self, sub: Subspace) -> Subspace:
         if sub.ambient_dim != self.source.dim:
@@ -192,19 +187,10 @@ def k_group(field: LocalField, n: int) -> KGroup:
     cache = field._caches.setdefault("kgroups", {})
     if n not in cache:
         if n == 1:
-            if not field.has_mu_p:
-                raise InputError("k_1 requires a primitive p-th root of unity")
             labels = [e.label for e in field.k1_structure()]
-        elif n == 0:
-            labels = ["1"]
-        elif n == 2:
-            labels = ["s"]
         else:
-            labels = []
-        grp = KGroup(field, n, labels)
-        if grp.dim != k_dim(field, n):
-            raise MathCheckError(f"k_{n} dimension {grp.dim} != expected {k_dim(field, n)}")
-        cache[n] = grp
+            labels = [_LINES[n]["label"]] if n in _LINES else []
+        cache[n] = KGroup(field, n, labels)
     return cache[n]
 
 
@@ -347,7 +333,7 @@ def _norm_hyperplane(field: LocalField, a_coords: list[int]) -> Subspace:
     all of k_1 for a trivial a.  It is kept per class in the field's
     cache, so it outlives the top it was read from (drop_extension)."""
     if not any(a_coords):
-        return Subspace.full(field.p, k_dim(field, 1))
+        return Subspace.full(field.p, k_group(field, 1).dim)
     key = _class_key(field, a_coords)
     cache = field._caches.setdefault("norm_hyperplanes", {})
     if key not in cache:
@@ -397,12 +383,16 @@ def _k1_matrix(src: LocalField, dst: LocalField, move) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
+def _line_map(src: KGroup, dst: KGroup, which: str) -> KMap:
+    """Corestriction or restriction (``which``) outside degree 1, by _LINES."""
+    scalar = _LINES[src.n][which] if src.n in _LINES else 0
+    return KMap(src, dst, np.eye(dst.dim, src.dim, dtype=np.int64) * scalar)
+
+
 def _build_norm_map(ext: KummerExtension, n: int) -> KMap:
     src, dst = k_group(ext.top, n), k_group(ext.base, n)
     if n != 1:
-        # corestriction is times p = 0 on k_0, and onto between the lines
-        # k_2, whose generators are identified through it
-        return KMap(src, dst, np.eye(dst.dim, src.dim, dtype=np.int64) * (n == 2))
+        return _line_map(src, dst, "cor")
     kmap = KMap(src, dst, _k1_matrix(ext.top, ext.base, ext.norm_down))
     if dst.dim - kmap.image().dim != 1:
         raise MathCheckError("norm image does not have codimension 1")
@@ -410,17 +400,16 @@ def _build_norm_map(ext: KummerExtension, n: int) -> KMap:
 
 
 def _build_restriction_map(ext: KummerExtension, n: int) -> KMap:
-    # restriction is the identity on k_0 and multiplies the invariant of
-    # the line k_2 by the degree p, hence zero
     src, dst = k_group(ext.base, n), k_group(ext.top, n)
     if n != 1:
-        return KMap(src, dst, np.eye(dst.dim, src.dim, dtype=np.int64) * (n == 0))
+        return _line_map(src, dst, "res")
     return KMap(src, dst, _k1_matrix(ext.base, ext.top, ext.embed))
 
 
 def _build_sigma_map(ext: KummerExtension, n: int) -> GModule:
+    # the Galois group acts trivially on the lines
     top = ext.top
-    mat = _k1_matrix(top, top, ext.sigma) if n == 1 else np.eye(k_dim(top, n), dtype=np.int64)
+    mat = _k1_matrix(top, top, ext.sigma) if n == 1 else np.eye(k_group(top, n).dim, dtype=np.int64)
     try:
         return GModule(ext.p, mat)
     except InputError as exc:
@@ -450,12 +439,12 @@ def cup_with(field: LocalField, a, n: int) -> KMap:
 
 
 def ann_pair(field: LocalField, a, n: int) -> Subspace:
-    """The annihilator of the degree-2 symbol (a, xi_p) inside k_{n-1}:
-    zero in degree 1 when (a, xi_p) is nonzero, and everything otherwise,
-    since cup lands in k_{n+1} = 0 for n >= 2."""
-    a_cls = KClass(k_group(field, 1), _as_k1_coords(field, a))
-    p, dim = field.p, k_dim(field, n - 1)
-    if n == 1 and not symbol(field, a_cls, xi_class(field)).is_zero():
+    """The annihilator of the degree-2 symbol (a, xi_p) inside k_{n-1}, the
+    kernel of z -> z.(a, xi_p) into k_{n+1}: for n + 1 = CD a map between
+    the lines k_0 and k_2, injective iff the symbol is nonzero, and
+    otherwise from or into a zero group."""
+    p, dim = field.p, k_group(field, n - 1).dim
+    if n + 1 == CD and not symbol(field, a, xi_class(field)).is_zero():
         return Subspace.zero(p, dim)
     return Subspace.full(p, dim)
 
@@ -508,8 +497,8 @@ def verify_voevodsky_seq(ext: KummerExtension, m: int) -> tuple[bool, dict]:
     """Exactness of k_{m-1}(E) -> k_{m-1}(F) -> k_m(F) -> k_m(E), with the
     middle maps the norm, cup with a, and restriction.  Returns (passed,
     entry): exact at both inner terms, and the report entry."""
-    if m < 1 or m > 3:
-        raise InputError("four-term checks cover degrees 1..3")
+    if m < 1 or m > CD + 1:
+        raise InputError(f"four-term checks cover degrees 1..{CD + 1}")
     cup = cup_with(ext.base, defining_class(ext), m)
     norm_image, cup_ann, cup_image = norm_map(ext, m - 1).image(), cup.kernel(), cup.image()
     res_kernel = restriction_map(ext, m).kernel()

@@ -253,7 +253,7 @@ class LocalField:
     """
 
     def __init__(self, p: int, steps=None, precision: int | None = None) -> None:
-        if not isinstance(p, int) or not is_prime(p) or p >= 1 << 16:
+        if not isinstance(p, int) or p >= 1 << 16 or not is_prime(p):
             raise InputError(f"p must be a prime below 2^16, got {p!r}")
         if not isinstance(precision, (int, type(None))):
             raise InputError(f"precision must be an integer, got {precision!r}")
@@ -808,7 +808,7 @@ class LocalField:
     def _coerce_raw(self, value, level: int) -> list[int]:
         """Monomial ints of an int or a nested digit list at a level: the one
         reader of nested digit lists."""
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):  # JSON true is no digit
             if level == 0:
                 return [value]
             value = [value]

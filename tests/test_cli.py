@@ -223,6 +223,28 @@ def test_verify_sequences_fault_injection_flips_exit_code(capsys, monkeypatch):
     assert "status: fail" in out
 
 
+def test_a_skewed_profile_fails_its_theorem_item(capsys, monkeypatch):
+    """A decomposition whose profile trades one free summand for p trivial
+    ones keeps the total dimension but not the free rank: the report names
+    the failed item, y_free_rank, and the run exits 1."""
+    from knorm import structure
+    from knorm.gmod import SummandProfile
+
+    real = structure.decompose
+
+    def skewed(module, seeds=None):
+        dec = real(module, seeds=seeds)
+        mult = list(dec.profile.multiplicities)
+        mult[0], mult[-1] = mult[0] + module.p, mult[-1] - 1
+        dec.profile = SummandProfile(module.p, mult)
+        return dec
+
+    monkeypatch.setattr(structure, "decompose", skewed)
+    code, out, err = run(capsys, "decompose", "--preset", "Q2", "--a", "2", "--n", "1")
+    assert (code, err) == (1, "")
+    assert "FAILED: y_free_rank" in out and "status: fail" in out
+
+
 def test_norm_membership_fault_exits_1(capsys, monkeypatch):
     """Every conjugate moved off the base field by pi^(prec - 2) * A leaves
     norms with a nonzero off-base block, far above half the precision: a
@@ -284,6 +306,55 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+def _manual(**changes):
+    profile = {"p": 2, "n": 1, "h": [1, 3], "a": [2], "minus_one_norm": True, **changes}
+    return json.dumps(profile)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "--spec", "null", "--precision", "40"],
+        ["field", "--spec", '"x"', "--precision", "40"],
+        ["field", "--spec", "[1]", "--precision", "40"],
+        ["field", "--spec", "null"],
+        ["field", "--spec", '{"p": 2, "steps": [' + ", ".join(
+            ['{"kind": "unramified", "degree": 2}'] * 8) + "]}"],
+        ["field", "--spec", '{"p": 2305843009213693951}'],
+        ["field", "--spec", '{"p": 2, "steps": [{"kind": "eisenstein", "coeffs": [-2, false]}]}'],
+        ["invariants", "--preset", "Q2sqrt2", "--a", "[true, 1]"],
+        ["euler", "--manual", _manual(h=[1, "a"])],
+        ["euler", "--manual", _manual(p="x")],
+        ["euler", "--manual", _manual(h=None)],
+        ["euler", "--manual", _manual(h={"x": 1})],
+        ["euler", "--manual", _manual(h=3)],
+        ["euler", "--manual", _manual(n=1.5)],
+        ["euler", "--manual", _manual(h=[1, 3.7])],
+        ["euler", "--manual", _manual(p=0)],
+        ["euler", "--manual", _manual(p=True)],
+        ["euler", "--manual", _manual(p=2305843009213693951)],
+        ["euler", "--manual", _manual(minus_one_norm="yes")],
+        ["verify", "--manual", _manual(label=5)],
+    ],
+)
+def test_malformed_input_exits_2_not_4(capsys, argv):
+    """A spec that parses to a non-object, one too long to name a file,
+    a prime beyond the supported bound, a bool read as a digit, and
+    manual profiles with entries that are not integers (or are
+    truncated, or a bool, or not prime) are bad input: exit 2, nothing
+    on stdout, one line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_a_spec_file_that_is_not_text_exits_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xd0\x00\xff")
+    code, out, err = run(capsys, "field", "--spec", str(path))
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+
+
 def test_unramified_degree_40_is_found_quickly(capsys):
     spec = '{"p": 2, "steps": [{"kind": "unramified", "degree": 40}]}'
     code, out, _ = run(capsys, "field", "--spec", spec)
@@ -307,9 +378,10 @@ def test_q2_verify_stays_within_its_rref_budget(monkeypatch, capsys):
     """Each subspace is eliminated once: a Q2 verify made 2363 rref calls
     when membership, kernels and intersections eliminated afresh, 942 with
     stored pivots and one echelon split each, 899 once the unit levels of
-    k1_structure were filled without a Subspace, and makes 885 now that the
-    annihilator of a is the kernel of its cup map, read off the split that
-    gives the cup image too."""
+    k1_structure were filled without a Subspace, 885 once the annihilator
+    of a was the kernel of its cup map, read off the split that gives the
+    cup image too, and makes 815 now that every map splits once for its
+    kernel and image and the fixed filtration skips the steps known zero."""
     calls = []
     rref = fplin.rref
 
@@ -320,7 +392,7 @@ def test_q2_verify_stays_within_its_rref_budget(monkeypatch, capsys):
     monkeypatch.setattr(fplin, "rref", counted)
     assert cli.main(["verify", "--preset", "Q2", "--json"]) == 0
     capsys.readouterr()
-    assert len(calls) <= 885
+    assert len(calls) <= 815
 
 
 def test_one_integer_elimination_per_field(monkeypatch, capsys):

@@ -59,7 +59,7 @@ def test_dim_formula_variants_agree(q2, sqrt2):
     for i in (1, 2):
         assert E.dim_HN_formula(prof, i, "a") == E.dim_HN_formula(prof, i, "c")
         assert E.dim_HN_formula(prof, i, "b") == E.dim_HN_formula(prof, i, "c")
-        assert E.dim_HN_formula(prof, i, "c") == M.k_dim(sqrt2.top, i)
+        assert E.dim_HN_formula(prof, i, "c") == M.k_group(sqrt2.top, i).dim
 
 
 def test_dim_formula_variant_b_license(q2):
@@ -72,7 +72,7 @@ def test_dim_formula_variant_b_license(q2):
     # but variants a and c still agree with the direct dimensions
     for i in (1, 2):
         assert E.dim_HN_formula(prof, i, "a") == E.dim_HN_formula(prof, i, "c")
-        assert E.dim_HN_formula(prof, i, "c") == M.k_dim(ext.top, i)
+        assert E.dim_HN_formula(prof, i, "c") == M.k_group(ext.top, i).dim
 
 
 def test_manual_profile_roundtrip():
