@@ -294,13 +294,21 @@ def cmd_invariants(args) -> int:
     field, report = _field_report(args)
     ext = get_extension(field, _resolve_a(field, args.a))
     lines = [f"extension by {ext.label}"]
+    ok = True
     for n in _degrees(args):
         inv = compute_invariants(ext, n)
-        report["results"].append({"a": ext.label, **inv.as_dict()})
+        entry = {"a": ext.label, **inv.as_dict()}
+        failed = [name for name, holds in inv.relations() if not holds]
+        if failed:  # a passing entry names no relation
+            entry["failed"] = failed
+        report["results"].append(entry)
         d, e, u1, u2, y, z = inv.as_tuple()
         lines.append(f"n={n}: (d, e, u1, u2, y, z) = ({d}, {e}, {u1}, {u2}, {y}, {z})")
+        lines += [f"   FAILED: {name}" for name in failed]
+        ok = ok and not failed
+    report["status"] = "pass" if ok else "fail"
     _emit(report, args.json, lines)
-    return EXIT_PASS
+    return EXIT_PASS if ok else EXIT_MATH_FAIL
 
 
 def cmd_decompose(args) -> int:

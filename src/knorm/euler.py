@@ -19,7 +19,7 @@ its turn.
 from __future__ import annotations
 
 from .errors import InputError, MathCheckError, UnsupportedOperationError
-from .fplin import _check_prime
+from .fplin import Subspace, _check_prime
 from .milnor import _class_key, defining_class, k_group, symbol, xi_class
 from .padic import KummerExtension, LocalField
 from .structure import structure_context
@@ -118,7 +118,7 @@ def profile_from_field(ext: KummerExtension, n: int) -> CohomologyProfile:
     a = [structure_context(ext, i + 1).ann_a.dim for i in range(1, n + 1)]
     minus_one = None
     if field.p == 2:  # -1 = xi is a norm from E iff (a, xi) = 0
-        minus_one = symbol(field, defining_class(ext), xi_class(field)).is_zero()
+        minus_one = symbol(field, defining_class(ext), xi_class(field)) == 0
     return CohomologyProfile(
         field.p, n, h, a, "local_field", ext=ext, minus_one_norm=minus_one,
         label=ext.label or "",
@@ -277,7 +277,7 @@ def enumerate_extension_classes(field: LocalField) -> list[tuple]:
             f"enumerating {expected} extensions is above the supported size"
         )
     keys = list(dict.fromkeys(
-        _class_key(field, cls.coords) for cls in grp.classes() if not cls.is_zero()
+        _class_key(field, v) for v in Subspace.full(field.p, grp.dim).vectors() if v.any()
     ))
     if len(keys) != expected:
         raise MathCheckError(f"enumerated {len(keys)} extensions, expected {expected}")

@@ -1,14 +1,16 @@
 """Exact linear algebra over the prime field F_p.
 
-All matrices are numpy int64 arrays with entries reduced mod p.  Subspaces
-are stored in reduced row-echelon form, which is unique, so two subspaces
-are equal iff their stored bases are identical arrays.  That canonicality
-is what makes every "choose a complement" step elsewhere in the package
-reproducible.  Each subspace also keeps its pivot columns, so membership
-needs no elimination, and kernel and intersect_and_sum (Zassenhaus) are
-one echelon split each.  Every elimination is one call of ``rref``, a
-Gauss-Jordan kernel that leaves its working matrix unreduced between
-pivots and touches only the rows and columns a pivot can change.
+F_p vectors and matrices are plain int64 arrays reduced mod p; each
+function takes the array and p, which the array's owner carries (its
+group, module or field).  Subspaces are stored in reduced row-echelon
+form, which is unique, so two subspaces are equal iff their stored bases
+are identical arrays.  That canonicality is what makes every "choose a
+complement" step elsewhere in the package reproducible.  Each subspace
+also keeps its pivot columns, so membership needs no elimination, and
+kernel and intersect_and_sum (Zassenhaus) are one echelon split each.
+Every elimination is one call of ``rref``, a Gauss-Jordan kernel that
+leaves its working matrix unreduced between pivots and touches only the
+rows and columns a pivot can change.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from .errors import InputError
 
 __all__ = [
-    "FpMatrix",
     "Subspace",
     "rref",
     "kernel",
@@ -31,6 +32,8 @@ __all__ = [
     "intersect_and_sum",
     "complement",
     "solve",
+    "solve_many",
+    "power",
 ]
 
 
@@ -101,79 +104,6 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a[:r] % p, pivots
-
-
-class FpMatrix:
-    """A rows x cols matrix over F_p with entries reduced mod p."""
-
-    __slots__ = ("p", "entries")
-
-    def __init__(self, p: int, entries) -> None:
-        self.p = _check_prime(p)
-        a = np.asarray(entries, dtype=np.int64)
-        if a.ndim != 2:
-            raise InputError(f"expected a 2-d array, got shape {a.shape}")
-        self.entries = a % self.p
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zero(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p:
-            raise InputError("modulus mismatch")
-        return FpMatrix(self.p, (self.entries @ other.entries) % self.p)
-
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p:
-            raise InputError("modulus mismatch")
-        return FpMatrix(self.p, self.entries + other.entries)
-
-    def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p:
-            raise InputError("modulus mismatch")
-        return FpMatrix(self.p, self.entries - other.entries)
-
-    def __pow__(self, k: int) -> "FpMatrix":
-        if self.rows != self.cols:
-            raise InputError("matrix power requires a square matrix")
-        out = np.eye(self.rows, dtype=np.int64)
-        base = self.entries
-        while k:
-            if k & 1:
-                out = (out @ base) % self.p
-            base = (base @ base) % self.p
-            k >>= 1
-        return FpMatrix(self.p, out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.entries.shape == other.entries.shape
-            and bool(np.array_equal(self.entries, other.entries))
-        )
-
-    def apply(self, vec) -> np.ndarray:
-        return (self.entries @ (np.asarray(vec, dtype=np.int64) % self.p)) % self.p
-
-    def rank(self) -> int:
-        return len(rref(self.entries, self.p)[1])
-
-    def __repr__(self) -> str:
-        return f"FpMatrix(p={self.p}, {self.rows}x{self.cols})"
 
 
 class Subspace:
@@ -255,21 +185,21 @@ def _split(wide: np.ndarray, p: int, cut: int) -> tuple[Subspace, Subspace]:
             Subspace._echelon(p, red[r:, cut:].copy(), [c - cut for c in pivots[r:]]))
 
 
-def kernel(m: FpMatrix) -> Subspace:
+def kernel(mat: np.ndarray, p: int) -> Subspace:
     """Null space of a matrix."""
-    return kernel_image(m)[0]
+    return kernel_image(mat, p)[0]
 
 
-def image(m: FpMatrix) -> Subspace:
+def image(mat: np.ndarray, p: int) -> Subspace:
     """Column space of a matrix."""
-    return Subspace(m.p, m.rows, m.entries.T)
+    return Subspace(p, mat.shape[0], mat.T)
 
 
-def kernel_image(m: FpMatrix) -> tuple[Subspace, Subspace]:
-    """(kernel(m), image(m)) from one split of [m^T | I], whose rows combine
-    to (m x, x): the kernel on the right, the image on the left."""
-    wide = np.hstack([m.entries.T, np.eye(m.cols, dtype=np.int64)])
-    img, kern = _split(wide, m.p, m.rows)
+def kernel_image(mat: np.ndarray, p: int) -> tuple[Subspace, Subspace]:
+    """(kernel(mat), image(mat)) from one split of [mat^T | I], whose rows
+    combine to (mat x, x): the kernel on the right, the image on the left."""
+    rows, cols = mat.shape
+    img, kern = _split(np.hstack([mat.T, np.eye(cols, dtype=np.int64)]), p, rows)
     return kern, img
 
 
@@ -305,24 +235,35 @@ def complement(inner: Subspace, outer: Subspace) -> Subspace:
     return comp
 
 
-def solve(m: FpMatrix, b) -> np.ndarray | None:
-    """A particular solution of m x = b over F_p, or None when the system
+def solve(mat: np.ndarray, b, p: int) -> np.ndarray | None:
+    """A particular solution of mat x = b over F_p, or None when the system
     is inconsistent."""
-    sols = solve_many(m, np.asarray(b, dtype=np.int64).reshape(-1, 1))
+    sols = solve_many(mat, np.asarray(b, dtype=np.int64).reshape(-1, 1), p)
     return None if sols is None else sols[:, 0]
 
 
-def solve_many(m: FpMatrix, rhs) -> np.ndarray | None:
-    """Particular solutions of m x = b for every column b of rhs, as the
+def solve_many(mat: np.ndarray, rhs, p: int) -> np.ndarray | None:
+    """Particular solutions of mat x = b for every column b of rhs, as the
     columns of the returned matrix; None when any system is inconsistent."""
-    p = m.p
-    a = m.entries
-    rows, cols = a.shape
-    b = np.asarray(rhs, dtype=np.int64).reshape(rows, -1) % p
-    red, pivots = rref(np.hstack([a, b]), p)
+    rows, cols = mat.shape
+    b = np.asarray(rhs, dtype=np.int64).reshape(rows, -1)
+    red, pivots = rref(np.hstack([mat, b]), p)
     if any(pc >= cols for pc in pivots):
         return None
     xs = np.zeros((cols, b.shape[1]), dtype=np.int64)
     for row_idx, pc in enumerate(pivots):
         xs[pc] = red[row_idx, cols:]
     return xs
+
+
+def power(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+    """mat^k over F_p for a square mat, by binary powering: k may be as
+    large as the order of a residue field's unit group."""
+    out = np.eye(mat.shape[0], dtype=np.int64)
+    base = mat % p
+    while k:
+        if k & 1:
+            out = out @ base % p
+        base = base @ base % p
+        k >>= 1
+    return out

@@ -5,7 +5,8 @@ fixed generator sigma satisfying sigma^p = 1.  The central operation
 splits such a module into cyclic summands of lengths 1..p by reverse
 induction on the filtration (sigma-1)^i M ∩ M^G, optionally seeded with
 externally chosen complements so callers can pin particular summands.
-A GModule keeps in ``subspaces`` its fixed part, the images of the
+A GModule holds sigma and the powers of sigma - 1 as int64 arrays reduced
+mod p, and keeps in ``subspaces`` its fixed part, the images of the
 powers of sigma - 1 and that filtration, each computed once, on first use.
 """
 
@@ -15,12 +16,13 @@ import numpy as np
 
 from .errors import InputError, MathCheckError
 from .fplin import (
-    FpMatrix,
     Subspace,
+    _check_prime,
     complement,
     image,
     intersect_and_sum,
     kernel,
+    rref,
     solve_many,
 )
 
@@ -42,26 +44,24 @@ __all__ = [
 class GModule:
     """F_p vector space of dimension ``dim`` with a sigma of order dividing p.
 
-    (sigma-1)^p = 0 is checked at construction, and a matrix failing it is
-    rejected; over F_p it is sigma^p = 1, as (sigma-1)^p = sigma^p - 1.
+    p must be prime and sigma square with (sigma-1)^p = 0, which over F_p
+    is sigma^p = 1; construction rejects input failing any of these.
     """
 
     __slots__ = ("p", "dim", "sigma", "_shift_powers", "subspaces")
 
     def __init__(self, p: int, sigma) -> None:
-        mat = sigma if isinstance(sigma, FpMatrix) else FpMatrix(p, sigma)
-        if mat.p != p:
-            raise InputError("sigma modulus does not match p")
-        if mat.rows != mat.cols:
-            raise InputError("sigma must be square")
-        self.p = mat.p
-        self.dim = mat.rows
+        p = self.p = _check_prime(p)
+        mat = np.asarray(sigma, dtype=np.int64) % p
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise InputError(f"sigma must be a square matrix, got shape {mat.shape}")
+        self.dim = mat.shape[0]
         self.sigma = mat
-        powers = [FpMatrix.identity(p, self.dim)]
-        shift = self.sigma - powers[0]
+        powers = [np.eye(self.dim, dtype=np.int64)]
+        shift = (mat - powers[0]) % p
         for _ in range(p):
-            powers.append(powers[-1] @ shift)
-        if powers[p] != FpMatrix.zero(p, self.dim, self.dim):
+            powers.append(powers[-1] @ shift % p)
+        if powers[p].any():
             raise InputError("(sigma - 1)^p is not zero")
         self._shift_powers = powers
         self.subspaces: dict = {}
@@ -70,7 +70,7 @@ class GModule:
     def trivial(cls, p: int, dim: int) -> "GModule":
         return cls(p, np.eye(dim, dtype=np.int64))
 
-    def shift_power(self, i: int) -> FpMatrix:
+    def shift_power(self, i: int) -> np.ndarray:
         """(sigma - 1)^i as a matrix, 0 <= i <= p."""
         if not 0 <= i <= self.p:
             raise InputError(f"power {i} out of range 0..{self.p}")
@@ -132,7 +132,7 @@ class Decomposition:
 def fixed_points(m: GModule) -> Subspace:
     """M^G, the kernel of sigma - 1."""
     if "fixed" not in m.subspaces:
-        m.subspaces["fixed"] = kernel(m.shift_power(1))
+        m.subspaces["fixed"] = kernel(m.shift_power(1), m.p)
     return m.subspaces["fixed"]
 
 
@@ -140,7 +140,7 @@ def omega_image(m: GModule, i: int) -> Subspace:
     """Image of (sigma - 1)^i; the whole space for i = 0, zero for i = p."""
     key = ("image", i)
     if key not in m.subspaces:
-        m.subspaces[key] = image(m.shift_power(i))
+        m.subspaces[key] = image(m.shift_power(i), m.p)
     return m.subspaces[key]
 
 
@@ -165,20 +165,20 @@ def length_of(m: GModule, v) -> int:
     if not vec.any():
         raise InputError("length of the zero vector is undefined")
     for l in range(1, m.p + 1):
-        if not m.shift_power(l).apply(vec).any():
+        if not (m.shift_power(l) @ vec % m.p).any():
             return l
     raise MathCheckError("no annihilating power found; sigma is not unipotent")
 
 
-def norm_operator(m: GModule) -> FpMatrix:
+def norm_operator(m: GModule) -> np.ndarray:
     """(sigma-1)^{p-1}, checked to equal 1 + sigma + ... + sigma^{p-1}."""
     n = m.shift_power(m.p - 1)
-    total = FpMatrix.zero(m.p, m.dim, m.dim)
-    power = FpMatrix.identity(m.p, m.dim)
+    total = np.zeros_like(n)
+    power = np.eye(m.dim, dtype=np.int64)
     for _ in range(m.p):
-        total = total + power
-        power = power @ m.sigma
-    if n != total:
+        total += power
+        power = power @ m.sigma % m.p
+    if not np.array_equal(n, total % m.p):
         raise MathCheckError("(sigma-1)^(p-1) differs from the sum of powers of sigma")
     return n
 
@@ -189,7 +189,7 @@ def multiplicity_oracle(m: GModule) -> SummandProfile:
     profile has a route independent of the filtration decompose reads."""
     ranks = [m.dim]
     for i in range(1, m.p + 1):
-        ranks.append(m.shift_power(i).rank())
+        ranks.append(len(rref(m.shift_power(i), m.p)[1]))
     ranks.append(0)
     mult = [ranks[i - 1] - 2 * ranks[i] + ranks[i + 1] for i in range(1, m.p + 1)]
     return SummandProfile(m.p, mult)
@@ -229,18 +229,18 @@ def decompose(m: GModule, seeds: dict[int, Subspace] | None = None) -> Decomposi
         gens: list[np.ndarray] = []
         rows: list[np.ndarray] = []
         if levels[i].dim:
-            lifts = solve_many(m.shift_power(i - 1), levels[i].basis.T)
+            lifts = solve_many(m.shift_power(i - 1), levels[i].basis.T, p)
             if lifts is None:
                 raise MathCheckError(f"level-{i} vectors have no (sigma-1)^{i-1} preimage")
             # Lifts of fixed vectors are annihilated by (sigma-1)^i for free.
-            if (m.shift_power(i).entries @ lifts % p).any():
+            if (m.shift_power(i) @ lifts % p).any():
                 raise MathCheckError(f"lift at length {i} is not annihilated")
             for y in lifts.T:
                 gens.append(y)
                 orbit = y
                 for _ in range(i):
                     rows.append(orbit)
-                    orbit = m.shift_power(1).apply(orbit)
+                    orbit = m.shift_power(1) @ orbit % p
         generators[i] = gens
         basis = Subspace(p, n, rows)
         if basis.dim != i * len(gens):
@@ -273,7 +273,7 @@ def verify_exclusion(parts: list[Subspace], ambient: GModule) -> bool:
     mg = fixed_points(ambient)
     for part in parts:
         for row in part.basis:
-            if not part.contains(shift.apply(row)):
+            if not part.contains(shift @ row):
                 raise InputError("part is not sigma-stable")
 
     def direct(subs: list[Subspace]) -> bool:

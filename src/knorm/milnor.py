@@ -8,9 +8,11 @@ with what corestriction and restriction do on the lines.  This module
 builds those groups with explicit bases, the norm (corestriction),
 restriction, Galois and cup-product maps for a degree-p Kummer extension
 E/F, and the numerical verifications of the exactness statements tying
-them together.  The first three maps take their degree-1 matrices from
-one builder, _k1_matrix, given the element map each one is induced by.
-Each verification (verify_hilbert90, verify_voevodsky_seq,
+them together.  A class is its coordinates on the group's basis and a
+map its matrix, int64 arrays reduced mod p; a KGroup carries the field,
+and so p.  The first three maps take their degree-1 matrices from one
+builder, _k1_matrix, given the element map each one is induced by.  Each
+verification (verify_hilbert90, verify_voevodsky_seq,
 projection_formula_check) returns (passed, entry): its own verdict and the
 JSON-ready report entry, which the CLI prints as it is.
 
@@ -19,12 +21,13 @@ is a norm from F(a^{1/p}).  By local duality the kernel of b -> (a, b)
 on k_1 is exactly that norm hyperplane N_a, and k_2 is a line, so N_a
 fixes the degree-2 cup map with a up to one scalar: 1 for p = 2, and
 for odd p the identification of k_2 with F_p, which no kernel, image or
-vanishing statement can observe.  How that scalar varies from one class
-a to another is not pinned, so for odd p the nonzero value of a symbol
-is the generator of k_2 by convention only.  _norm_hyperplane is the one
-place N_a is read, by symbol and by cup_with; the field keeps it per
-class, so it outlives the top it came from.  The annihilator of a in
-k_{n-1} is the kernel of cup_with(field, a, n).
+vanishing statement can observe.  symbol returns the F_p coordinate of
+(a, b) on the generator of k_2: 0 or 1, since how that scalar varies
+from one class a to another is not pinned, so for odd p a nonzero
+symbol is 1 by convention only.  _norm_hyperplane is the one place N_a
+is read, by symbol and by cup_with; the field keeps it per class, so it
+outlives the top it came from.  The annihilator of a in k_{n-1} is the
+kernel of cup_with(field, a, n).
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ import random
 import numpy as np
 
 from .errors import InputError, MathCheckError
-from .fplin import FpMatrix, Subspace, kernel, kernel_image
+from .fplin import Subspace, kernel, kernel_image
 from .gmod import GModule, norm_operator, omega_image
 from .padic import KummerExtension, LocalField, PadicElement
 
 __all__ = [
     "KGroup",
-    "KClass",
     "KMap",
     "k_group",
     "k1_group",
@@ -81,57 +83,14 @@ class KGroup:
         self.labels = labels
         self.dim = len(labels)
 
-    def zero(self) -> "KClass":
-        return KClass(self, np.zeros(self.dim, dtype=np.int64))
-
-    def classes(self):
-        """All p^dim classes (small groups only)."""
-        for vec in Subspace.full(self.field.p, self.dim).vectors():
-            yield KClass(self, vec)
-
-    def basis_class(self, i: int) -> "KClass":
-        coords = np.zeros(self.dim, dtype=np.int64)
-        coords[i] = 1
-        return KClass(self, coords)
-
     def __repr__(self) -> str:
         return f"KGroup(k{self.n} {self.field.short_name()}, dim={self.dim})"
-
-
-class KClass:
-    """An element of a KGroup, stored by coordinates."""
-
-    __slots__ = ("group", "coords")
-
-    def __init__(self, group: KGroup, coords) -> None:
-        coords = np.asarray(coords, dtype=np.int64) % group.field.p
-        if coords.shape != (group.dim,):
-            raise InputError("coordinate length does not match the group dimension")
-        self.group = group
-        self.coords = coords
-
-    def is_zero(self) -> bool:
-        return not self.coords.any()
-
-    def __add__(self, other: "KClass") -> "KClass":
-        if other.group is not self.group:
-            raise InputError("classes belong to different groups")
-        return KClass(self.group, self.coords + other.coords)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KClass)
-            and other.group is self.group
-            and bool(np.array_equal(self.coords, other.coords))
-        )
-
-    def __repr__(self) -> str:
-        return f"KClass(k{self.group.n}, {list(map(int, self.coords))})"
 
 
 class KMap:
     """A linear map between K-groups.
 
+    ``matrix`` is an int64 array reduced mod p, target.dim x source.dim.
     Every entry is exact, except that a degree-2 cup map at odd p is
     exact only up to one global scalar, the identification of k_2 with
     F_p (see cup_with); no kernel or image sees it.  The map keeps its
@@ -141,21 +100,22 @@ class KMap:
     __slots__ = ("source", "target", "matrix", "_split")
 
     def __init__(self, source: KGroup, target: KGroup, matrix) -> None:
-        mat = matrix if isinstance(matrix, FpMatrix) else FpMatrix(source.field.p, matrix)
-        if mat.rows != target.dim or mat.cols != source.dim:
+        mat = np.asarray(matrix, dtype=np.int64) % source.field.p
+        if mat.shape != (target.dim, source.dim):
             raise InputError(
-                f"matrix shape {mat.rows}x{mat.cols} does not match "
-                f"{target.dim}x{source.dim}"
+                f"matrix shape {mat.shape} does not match ({target.dim}, {source.dim})"
             )
         self.source = source
         self.target = target
         self.matrix = mat
         self._split = None
 
-    def apply(self, cls: KClass) -> KClass:
-        if cls.group is not self.source:
-            raise InputError("class is not in the source group")
-        return KClass(self.target, self.matrix.apply(cls.coords))
+    def apply(self, vec) -> np.ndarray:
+        """The image of a coordinate vector of the source group."""
+        v = np.asarray(vec, dtype=np.int64)
+        if v.shape != (self.source.dim,):
+            raise InputError("vector length does not match the source group")
+        return self.matrix @ (v % self.source.field.p) % self.source.field.p
 
     def kernel(self) -> Subspace:
         return self._kernel_image()[0]
@@ -165,13 +125,13 @@ class KMap:
 
     def _kernel_image(self) -> tuple[Subspace, Subspace]:
         if self._split is None:
-            self._split = kernel_image(self.matrix)
+            self._split = kernel_image(self.matrix, self.source.field.p)
         return self._split
 
     def image_of(self, sub: Subspace) -> Subspace:
         if sub.ambient_dim != self.source.dim:
             raise InputError("subspace does not live in the source group")
-        return Subspace(self.target.field.p, self.target.dim, sub.basis @ self.matrix.entries.T)
+        return Subspace(self.target.field.p, self.target.dim, sub.basis @ self.matrix.T)
 
     def __matmul__(self, other: "KMap") -> "KMap":
         if other.target is not self.source:
@@ -179,7 +139,7 @@ class KMap:
         return KMap(other.source, self.target, self.matrix @ other.matrix)
 
     def __repr__(self) -> str:
-        return f"KMap(k{self.source.n}->k{self.target.n}, {self.matrix.rows}x{self.matrix.cols})"
+        return f"KMap(k{self.source.n}->k{self.target.n}, {self.target.dim}x{self.source.dim})"
 
 
 def k_group(field: LocalField, n: int) -> KGroup:
@@ -228,9 +188,9 @@ def k1_group(field: LocalField) -> KGroup:
     return grp
 
 
-def class_of(field: LocalField, x: PadicElement) -> KClass:
+def class_of(field: LocalField, x: PadicElement) -> np.ndarray:
     """Coordinates of a nonzero element in k_1, by filtration peeling."""
-    return KClass(k_group(field, 1), field.k1_coords(x))
+    return np.array(field.k1_coords(x), dtype=np.int64)
 
 
 def _class_key(field: LocalField, coords) -> tuple:
@@ -245,17 +205,16 @@ def _class_key(field: LocalField, coords) -> tuple:
 
 
 def _as_k1_coords(field: LocalField, a) -> list[int]:
-    if isinstance(a, tuple):  # a class key, as enumerations list them
-        a = KClass(k_group(field, 1), a)
-    if isinstance(a, KClass):
-        if a.group.field is not field or a.group.n != 1:
-            raise InputError("expected a k_1 class of the given field")
-        return [int(c) for c in a.coords]
+    """The k_1 coordinates of a field element, or of a coordinate sequence
+    (a class key is one), reduced mod p and checked against dim k_1."""
     if isinstance(a, PadicElement):
         if a.field is not field:
             raise InputError("element belongs to a different field")
         return field.k1_coords(a)
-    raise InputError("expected a k_1 class, a class key or a field element")
+    coords = [int(c) % field.p for c in a]
+    if len(coords) != k_group(field, 1).dim:
+        raise InputError("coordinate length does not match dim k_1")
+    return coords
 
 
 def get_extension(field: LocalField, a) -> KummerExtension:
@@ -313,7 +272,7 @@ def norm_subgroup(ext: KummerExtension) -> Subspace:
     return norm_map(ext, 1).image()
 
 
-def xi_class(field: LocalField) -> KClass:
+def xi_class(field: LocalField) -> np.ndarray:
     """The k_1 class of the fixed p-th root of unity (of -1 when p = 2),
     computed once per field."""
     if "xi_class" not in field._caches:
@@ -321,7 +280,7 @@ def xi_class(field: LocalField) -> KClass:
     return field._caches["xi_class"]
 
 
-def defining_class(ext: KummerExtension) -> KClass:
+def defining_class(ext: KummerExtension) -> np.ndarray:
     """The k_1 class of the Kummer element a, computed once per extension."""
     if "a_class" not in ext.cache:
         ext.cache["a_class"] = class_of(ext.base, ext.a)
@@ -341,18 +300,16 @@ def _norm_hyperplane(field: LocalField, a_coords: list[int]) -> Subspace:
     return cache[key]
 
 
-def symbol(field: LocalField, a, b) -> KClass:
-    """The degree-2 symbol of two k_1 classes, via the norm criterion.
+def symbol(field: LocalField, a, b) -> int:
+    """The degree-2 symbol of two k_1 classes, via the norm criterion, as
+    its F_p coordinate on the generator of the line k_2.
 
     Zero iff b is a norm from F(a^{1/p}); a trivial a gives zero by
-    convention.  The nonzero value is the chosen generator of k_2, which
-    for odd p pins the symbol only up to a scalar that depends on a.
+    convention.  The nonzero value is 1, the chosen generator of k_2,
+    which for odd p pins the symbol only up to a scalar that depends on a.
     """
-    k2 = k_group(field, 2)
     b_coords = np.array(_as_k1_coords(field, b), dtype=np.int64)
-    if _norm_hyperplane(field, _as_k1_coords(field, a)).contains(b_coords):
-        return k2.zero()
-    return k2.basis_class(0)
+    return 0 if _norm_hyperplane(field, _as_k1_coords(field, a)).contains(b_coords) else 1
 
 
 def norm_map(ext: KummerExtension, n: int) -> KMap:
@@ -431,11 +388,11 @@ def cup_with(field: LocalField, a, n: int) -> KMap:
     a_coords = _as_k1_coords(field, a)
     src, dst, p = k_group(field, n - 1), k_group(field, n), field.p
     if n == 1:
-        return KMap(src, dst, KClass(dst, a_coords).coords.reshape(-1, 1))
+        return KMap(src, dst, np.array(a_coords, dtype=np.int64).reshape(-1, 1))
     if n == 2:
-        normal = kernel(FpMatrix(p, _norm_hyperplane(field, a_coords).basis)).basis
-        return KMap(src, dst, normal if len(normal) else FpMatrix.zero(p, 1, src.dim))
-    return KMap(src, dst, FpMatrix.zero(p, dst.dim, src.dim))
+        normal = kernel(_norm_hyperplane(field, a_coords).basis, p).basis
+        return KMap(src, dst, normal if len(normal) else np.zeros((1, src.dim), dtype=np.int64))
+    return KMap(src, dst, np.zeros((dst.dim, src.dim), dtype=np.int64))
 
 
 def ann_pair(field: LocalField, a, n: int) -> Subspace:
@@ -444,7 +401,7 @@ def ann_pair(field: LocalField, a, n: int) -> Subspace:
     the lines k_0 and k_2, injective iff the symbol is nonzero, and
     otherwise from or into a zero group."""
     p, dim = field.p, k_group(field, n - 1).dim
-    if n + 1 == CD and not symbol(field, a, xi_class(field)).is_zero():
+    if n + 1 == CD and symbol(field, a, xi_class(field)):
         return Subspace.zero(p, dim)
     return Subspace.full(p, dim)
 
@@ -460,18 +417,17 @@ def projection_formula_check(ext: KummerExtension) -> tuple[bool, dict[str, bool
     """
     field, top, p = ext.base, ext.top, ext.p
     # for p = 2, the class of -a, with xi = -1
-    rhs_cls = defining_class(ext) if p > 2 else defining_class(ext) + xi_class(field)
+    rhs_cls = defining_class(ext) if p > 2 else (defining_class(ext) + xi_class(field)) % p
     res1 = restriction_map(ext, 1)
     a_top = class_of(top, ext.A)
     results: dict[str, bool] = {}
     k1f = k_group(field, 1)
-    for j, lab in enumerate(k1f.labels):
-        b = k1f.basis_class(j)
-        lhs_zero = symbol(top, a_top, res1.apply(b)).is_zero()
-        rhs_zero = symbol(field, rhs_cls, b).is_zero()
+    for lab, b in zip(k1f.labels, np.eye(k1f.dim, dtype=np.int64)):
+        lhs_zero = symbol(top, a_top, res1.apply(b)) == 0
+        rhs_zero = symbol(field, rhs_cls, b) == 0
         results[lab] = lhs_zero == rhs_zero
     # degree-0 instance: the norm of the root itself
-    results["1"] = class_of(field, ext.norm_down(ext.A)) == rhs_cls
+    results["1"] = np.array_equal(class_of(field, ext.norm_down(ext.A)), rhs_cls)
     return all(results.values()), results
 
 
@@ -483,7 +439,7 @@ def verify_hilbert90(ext: KummerExtension, n: int) -> tuple[bool, dict]:
     shift_image = omega_image(module, 1)
     norm_kernel = nmap.kernel()
     inclusion = shift_image.is_subspace_of(norm_kernel)
-    composite = (rmap @ nmap).matrix == norm_operator(module)
+    composite = np.array_equal((rmap @ nmap).matrix, norm_operator(module))
     return inclusion and composite, {
         "n": n,
         "dim_image_sigma_minus_1": shift_image.dim,

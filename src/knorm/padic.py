@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, MathCheckError, PrecisionError
-from .fplin import FpMatrix, image, is_prime, kernel, solve as fp_solve
+from .fplin import image, is_prime, kernel, power, solve as fp_solve
 
 __all__ = ["LocalField", "PadicElement", "KummerExtension", "default_precision"]
 
@@ -774,10 +774,10 @@ class LocalField:
         def build():
             eta = self._ladder("eta", 1)
             cols = [self.residue_of(self._mul(eta, r)) for r in self._residue_basis]
-            return FpMatrix(self.p, np.array(cols).T)
+            return np.array(cols, dtype=np.int64).T
 
         eta_bar, k = _memo(self._caches, "eta_bar", build), -m % (self.q - 1)
-        rows = _memo(self._caches, ("twist", k), lambda: (eta_bar**k).entries.tolist())
+        rows = _memo(self._caches, ("twist", k), lambda: power(eta_bar, k, self.p).tolist())
         return [sum(map(operator.mul, row, s)) % self.p for row in rows]
 
     def _settle(self):
@@ -950,7 +950,7 @@ class LocalField:
     def _res_pow(self, a: tuple, k: int) -> tuple:
         return self.residue_of(self._pow_raw(self._rep_raw(a), k))
 
-    def _as_matrix(self) -> FpMatrix:
+    def _as_matrix(self) -> np.ndarray:
         """The F_p-linear map s -> s^p + ubar * s on the residue field, ubar
         the residue of p / pi^e, the unit at the wild level."""
         mat = self._caches.get("as_matrix")
@@ -958,7 +958,7 @@ class LocalField:
             f = self.f
             units = [tuple(int(j == i) for j in range(f)) for i in range(f)]
             cols = [np.add(self._res_pow(s, self.p), self._twist(1, s)) for s in units]
-            mat = self._caches["as_matrix"] = FpMatrix(self.p, np.array(cols).T)
+            mat = self._caches["as_matrix"] = np.array(cols, dtype=np.int64).T % self.p
         return mat
 
     # -- p-th power testing --------------------------------------------------------
@@ -985,7 +985,7 @@ class LocalField:
             if mu % p and mu < w:
                 return ("ramified", t, mu)
             if mu == w:
-                s = fp_solve(self._as_matrix(), np.array(c, dtype=np.int64))
+                s = fp_solve(self._as_matrix(), np.array(c, dtype=np.int64), self.p)
                 if s is None:
                     return ("unramified", t, w // p)
             else:
@@ -1026,7 +1026,7 @@ class LocalField:
         if self.e % (p - 1):
             return False
         mu0 = self.e // (p - 1)
-        vecs = kernel(self._as_matrix()).vectors()
+        vecs = kernel(self._as_matrix(), self.p).vectors()
         root = next((tuple(int(c) for c in v) for v in vecs if v.any()), None)
         if root is None:
             return False
@@ -1080,7 +1080,7 @@ class LocalField:
                 continue
             if mu == w:
                 tmat = self._as_matrix()
-                timg = image(tmat)
+                timg = image(tmat, p)
                 coords = next(
                     (c for c in itertools.product(range(p), repeat=f)
                      if any(c) and not timg.contains(np.array(c, dtype=np.int64))),
@@ -1118,14 +1118,12 @@ class LocalField:
         idx = "".join(str(c) for c in coords)
         return f"1+pi^{mu}*u{idx}"
 
-    def _level_matrix(self, mu: int) -> FpMatrix:
+    def _level_matrix(self, mu: int) -> np.ndarray:
         """Residues of the level-mu basis entries, as columns, followed at
         the wild level by the columns of s -> s^p + ubar * s."""
         def build():
             cols = np.array([e.residue for e in self.k1_structure() if e.level == mu]).T
-            if mu == self.wild:
-                cols = np.hstack([cols, self._as_matrix().entries])
-            return FpMatrix(self.p, cols)
+            return np.hstack([cols, self._as_matrix()]) if mu == self.wild else cols
 
         return _memo(self._caches.setdefault("level_matrices", {}), mu, build)
 
@@ -1135,7 +1133,8 @@ class LocalField:
         product) * (p-th powers) * u throughout, and u is cleared by its
         Teichmueller lift to the q - 2, basis entries to the p - c, and
         (1 + t * pi^l)^p, t the negated residue solution, where p divides the
-        level.  One _lead reads each level; factors and solves are cached."""
+        level.  One _lead reads each level; the lift comes from teichmueller's
+        cache, and the other factors and the solves are cached here."""
         if x.field is not self:
             raise InputError("element belongs to a different field")
         entries = self.k1_structure()
@@ -1149,13 +1148,13 @@ class LocalField:
             raise _valuation_error(v)
         coords[0] = v % p
         u = self._tighten(self._mul(x.data, self.pi_pow(-v).data) if v else x.data, 0)
-        # clearing factors, in dicts of their own: by residue, by (position,
-        # c), by (t, l); level solves by (level, residue)
-        teich, powers = caches.setdefault("k1_teich", {}), caches.setdefault("k1_powers", {})
-        pth, solves = caches.setdefault("k1_pth", {}), caches.setdefault("k1_solves", {})
+        # clearing factors, in dicts of their own: by (position, c), by
+        # (t, l); level solves by (level, residue)
+        powers, pth = caches.setdefault("k1_powers", {}), caches.setdefault("k1_pth", {})
+        solves = caches.setdefault("k1_solves", {})
         if r != (1,) + (0,) * (self.f - 1):  # the residue of r_0 = 1 lifts to 1
-            u = self._mul(u, _memo(teich, r, lambda: self._pow_raw(
-                self.teichmueller(PadicElement(self, self._rep_raw(r))).data, self.q - 2)))
+            teich = self.teichmueller(PadicElement(self, self._rep_raw(r))).data
+            u = self._mul(u, self._pow_raw(teich, self.q - 2))
         one, dv = self._one_raw(), None
         for mu in range(1, w + 1):
             if dv is None:  # u changed: read its level again
@@ -1193,7 +1192,7 @@ class LocalField:
         if mu % p == 0 and mu < w:
             cs, s = [], self._res_pow(c, self.q // p)
         else:
-            sol = fp_solve(self._level_matrix(mu), np.array(c, dtype=np.int64))
+            sol = fp_solve(self._level_matrix(mu), np.array(c, dtype=np.int64), self.p)
             if sol is None:  # pragma: no cover
                 raise MathCheckError(f"level-{mu} slots do not cover the graded piece")
             cs, s = [int(a) for a in sol[:k]], sol[k:]  # s is empty below the wild level

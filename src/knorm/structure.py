@@ -66,10 +66,9 @@ __all__ = [
 class Invariants:
     """The sextuple (d, e, upsilon1, upsilon2, y, z) for one degree.
 
-    The two linear relations upsilon1 + upsilon2 + y = e (upsilon2
-    dropping out when p = 2, where the relation reads upsilon1 + y = e)
-    and upsilon2 + z = d are enforced at construction; violating them
-    means the computation (or a theorem) failed and is never repaired.
+    Negative values are rejected at construction.  The two linear
+    relations are checked in one place, ``relations``, which the theorem
+    checklist and the invariants command read.
     """
 
     __slots__ = ("p", "n", "d", "e", "upsilon1", "upsilon2", "y", "z")
@@ -79,17 +78,18 @@ class Invariants:
         for name, v in vals.items():
             if v < 0:
                 raise MathCheckError(f"invariant {name} is negative: {v}")
-        lhs = upsilon1 + y if p == 2 else upsilon1 + upsilon2 + y
-        if lhs != e:
-            raise MathCheckError(
-                f"relation upsilon1+(upsilon2+)y=e fails: {lhs} != {e}"
-            )
-        if upsilon2 + z != d:
-            raise MathCheckError(f"relation upsilon2+z=d fails: {upsilon2}+{z} != {d}")
         self.p, self.n = p, n
         self.d, self.e = d, e
         self.upsilon1, self.upsilon2 = upsilon1, upsilon2
         self.y, self.z = y, z
+
+    def relations(self) -> list[tuple[str, bool]]:
+        """(name, holds) of upsilon1 + upsilon2 + y = e (upsilon2 dropping
+        out when p = 2, where it reads upsilon1 + y = e) and of
+        upsilon2 + z = d."""
+        two = self.upsilon2 if self.p > 2 else 0
+        return [("relation_e", self.upsilon1 + two + self.y == self.e),
+                ("relation_d", self.upsilon2 + self.z == self.d)]
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.d, self.e, self.upsilon1, self.upsilon2, self.y, self.z)
@@ -348,9 +348,7 @@ def check_theorem_items(report: StructureReport) -> tuple[bool, list[dict]]:
         iso = cor_x1 == target and cor_x1.dim == report.x1.dim
         out.append(("cor_iso_from_x1_onto_cup_annpair", iso,
                     f"dim cor(X1) = {cor_x1.dim}, target = {target.dim}"))
-    e_lhs = inv.upsilon1 + inv.y if p == 2 else inv.upsilon1 + inv.upsilon2 + inv.y
-    out.append(("relation_e", e_lhs == inv.e))
-    out.append(("relation_d", inv.upsilon2 + inv.z == inv.d))
+    out += inv.relations()
     out.append(("total_dimension", module.dim == inv.total_dim, f"dim = {module.dim}"))
     return _checklist(out)
 

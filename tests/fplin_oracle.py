@@ -13,7 +13,7 @@ reduced kernel.
 
 import numpy as np
 
-from knorm.fplin import FpMatrix, MathInternal, Subspace
+from knorm.fplin import MathInternal, Subspace
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
@@ -53,10 +53,10 @@ def is_subspace_of(sub: Subspace, other: Subspace) -> bool:
     return stacked.shape[0] == other.dim
 
 
-def kernel(m: FpMatrix) -> Subspace:
+def kernel(m: np.ndarray, p: int) -> Subspace:
     """Null space of a matrix."""
-    p, cols = m.p, m.cols
-    red, pivots = rref(m.entries, p)
+    cols = m.shape[1]
+    red, pivots = rref(m, p)
     free = sorted(set(range(cols)) - set(pivots))
     kvecs = np.zeros((len(free), cols), dtype=np.int64)
     for k, f in enumerate(free):
@@ -74,7 +74,7 @@ def intersect_and_sum(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     else:
         # Solutions (u, v) of u*A = v*B give intersection vectors u*A.
         stacked = np.vstack([a.basis, (-b.basis) % p]).T  # n x (da+db)
-        kern = kernel(FpMatrix(p, stacked))
+        kern = kernel(stacked, p)
         inter_vecs = (kern.basis[:, : a.dim] @ a.basis) % p
         inter = Subspace(p, n, inter_vecs)
     if inter.dim + total.dim != a.dim + b.dim:

@@ -3,22 +3,22 @@
 import numpy as np
 
 from knorm.errors import InputError
-from knorm.fplin import FpMatrix, rref
+from knorm.fplin import rref
 from knorm.gmod import GModule
 
 
-def invert(m: FpMatrix) -> FpMatrix:
-    n = m.rows
-    red, pivots = rref(np.hstack([m.entries, np.eye(n, dtype=np.int64)]), m.p)
+def invert(m: np.ndarray, p: int) -> np.ndarray:
+    n = m.shape[0]
+    red, pivots = rref(np.hstack([m, np.eye(n, dtype=np.int64)]), p)
     if pivots != list(range(n)):
         raise InputError("matrix is singular")
-    return FpMatrix(m.p, red[:, n:])
+    return red[:, n:]
 
 
 def conjugate(module: GModule, g) -> GModule:
     """Base change: the module with action g sigma g^{-1}."""
-    g = g if isinstance(g, FpMatrix) else FpMatrix(module.p, g)
-    return GModule(module.p, (g @ module.sigma @ invert(g)).entries)
+    p, g = module.p, np.asarray(g, dtype=np.int64) % module.p
+    return GModule(p, g @ module.sigma % p @ invert(g, p) % p)
 
 
 def jordan_blocks(p: int, sizes: list[int]) -> GModule:

@@ -12,7 +12,6 @@ from knorm import cli, fplin
 from knorm import euler as E
 from knorm import milnor as M
 from knorm.errors import MathCheckError, PrecisionError
-from knorm.fplin import FpMatrix
 from knorm.padic import KummerExtension, LocalField
 from knorm.presets import FIELD_PRESETS
 
@@ -166,7 +165,7 @@ def test_verify_fault_injection_flips_exit_code(capsys, monkeypatch):
         module = real_sigma(ext, n)
         if n == 1 and not getattr(corrupted, "fired", False):
             corrupted.fired = True
-            entries = module.sigma.entries.copy()
+            entries = module.sigma.copy()
             entries[0, -1] = (entries[0, -1] + 1) % module.p
             try:
                 return type(module)(module.p, entries)
@@ -193,9 +192,9 @@ def test_verify_norm_fault_injection_flips_exit_code(capsys, monkeypatch):
         kmap = real_build(ext, n)
         if n != 1:
             return kmap
-        entries = kmap.matrix.entries.copy()
+        entries = kmap.matrix.copy()
         entries[1, 0] = (entries[1, 0] + 1) % ext.p
-        return M.KMap(kmap.source, kmap.target, FpMatrix(ext.p, entries))
+        return M.KMap(kmap.source, kmap.target, entries)
 
     monkeypatch.setattr(M, "_build_norm_map", corrupted)
     code, out, _ = run(capsys, "verify", "--preset", "Q2", "--a", "2")
@@ -213,7 +212,7 @@ def test_verify_sequences_fault_injection_flips_exit_code(capsys, monkeypatch):
 
     def corrupted(ext, n):
         kmap = real_build(ext, n)
-        return M.KMap(kmap.source, kmap.target, FpMatrix.identity(ext.p, 1)) if n == 2 else kmap
+        return M.KMap(kmap.source, kmap.target, np.eye(1, dtype=np.int64)) if n == 2 else kmap
 
     monkeypatch.setattr(M, "_build_restriction_map", corrupted)
     code, out, _ = run(capsys, "verify", "--preset", "Q2", "--a", "2", "--suite", "sequences")
@@ -243,6 +242,31 @@ def test_a_skewed_profile_fails_its_theorem_item(capsys, monkeypatch):
     code, out, err = run(capsys, "decompose", "--preset", "Q2", "--a", "2", "--n", "1")
     assert (code, err) == (1, "")
     assert "FAILED: y_free_rank" in out and "status: fail" in out
+
+
+def test_a_skewed_z_fails_relation_d(capsys, monkeypatch):
+    """Invariants whose z is one too large break upsilon2 + z = d: decompose
+    names relation_d among its failed items, and invariants names it too,
+    in text and in JSON; each exits 1."""
+    from knorm import structure
+
+    class Skewed(structure.Invariants):
+        __slots__ = ()
+
+        def __init__(self, p, n, d, e, upsilon1, upsilon2, y, z):
+            super().__init__(p, n, d, e, upsilon1, upsilon2, y, z + 1)
+
+    monkeypatch.setattr(structure, "Invariants", Skewed)
+    code, out, err = run(capsys, "decompose", "--preset", "Q2", "--a", "2", "--n", "1")
+    assert (code, err) == (1, "")
+    assert "FAILED: relation_d" in out and "status: fail" in out
+    code, out, err = run(capsys, "invariants", "--preset", "Q2", "--a", "2", "--n", "1")
+    assert (code, err) == (1, "")
+    assert "FAILED: relation_d" in out and "relation_e" not in out
+    code, out, err = run(capsys, "invariants", "--preset", "Q2", "--a", "2", "--n", "1", "--json")
+    report = json.loads(out)
+    assert (code, err, report["status"]) == (1, "", "fail")
+    assert report["results"][0]["failed"] == ["relation_d"]
 
 
 def test_norm_membership_fault_exits_1(capsys, monkeypatch):
@@ -630,7 +654,7 @@ def test_each_top_lives_only_until_its_turn_ends(monkeypatch, capsys):
     assert cli.main(["verify", "--preset", "Q3zeta3", "--json"]) == 0
     capsys.readouterr()
     field = turns[0][0]
-    xi = M._key_label(field, M._class_key(field, M.xi_class(field).coords))
+    xi = M._key_label(field, M._class_key(field, M.xi_class(field)))
     labels = [label for _, label, _ in turns]
     assert len(labels) == len(set(built)) == len(built) == 40 and sorted(built) == sorted(labels)
     xi_turn = labels.index(xi)

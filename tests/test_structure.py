@@ -150,8 +150,14 @@ def test_context_is_cached_until_released():
     assert S.structure_context(ext, 1) is not ctx
 
 
-def test_invariants_ctor_rejects_relation_violation():
+def test_invariants_relations_name_each_violation():
+    """The relations are reported, not raised: upsilon2 drops out of the
+    e relation for p = 2 only.  Negative values are still rejected."""
+    inv = S.Invariants(2, 1, d=1, e=2, upsilon1=1, upsilon2=0, y=0, z=1)
+    assert inv.relations() == [("relation_e", False), ("relation_d", True)]
+    inv = S.Invariants(3, 1, d=2, e=2, upsilon1=1, upsilon2=0, y=1, z=0)
+    assert inv.relations() == [("relation_e", True), ("relation_d", False)]
+    inv = S.Invariants(2, 1, d=1, e=1, upsilon1=0, upsilon2=1, y=1, z=0)
+    assert inv.relations() == [("relation_e", True), ("relation_d", True)]
     with pytest.raises(MathCheckError):
-        S.Invariants(2, 1, d=1, e=2, upsilon1=1, upsilon2=0, y=0, z=1)
-    with pytest.raises(MathCheckError):
-        S.Invariants(3, 1, d=2, e=2, upsilon1=1, upsilon2=0, y=1, z=0)
+        S.Invariants(3, 1, d=1, e=1, upsilon1=1, upsilon2=0, y=0, z=-1)
