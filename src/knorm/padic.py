@@ -24,10 +24,13 @@ v_x).  Shifts rise whenever the ints prove more, and inverses, powers of
 pi and the integral basis carry the shift their valuation proves, so a
 unit keeps shift 0 even where L is smaller than O.  A product adds
 the product of every pair of nonzero ints into its slot of the unreduced
-product, where each step's degree may reach 2d - 2, then in one pass adds
-to each monomial's own slot the exact terms that the other nonzero slots
-reduce to under the step polynomials, from the field's reduction table
-(built once from its parent's), modulo p^(N-v+2k), and divides by p^k.
+product, where each step's degree may reach 2d - 2, then adds to each
+monomial's own slot the exact terms that the other nonzero slots reduce
+to under the step polynomials, from the field's reduction table (built
+once from its parent's), modulo p^(N-v+2k), and divides by p^k.  With
+few nonzero pairs against the slot count, it holds and reduces only the
+slots they reach; an operand is reduced first only where it is known past
+the product's precision.
 An inverse is pi^-v times the inverse of the unit x * pi^-v, which
 Newton's iteration y <- y + y * (1 - x * y) reaches from the lift of the
 residue inverse; the one integer elimination of a field gives T below.
@@ -54,7 +57,8 @@ nonzero t_ij weighs less than e * N, below any coordinate whose digits
 were lost.  x is zero to its precision when every t_ij vanishes modulo
 p^N (its ints need not, when k > 0).  The same pass gives the residue of
 x / pi^v, v = e*m + i: it is (t_ij / p^m mod p) times ubar^m, ubar the
-residue of p / pi^e, which is eta-bar^(q-2) and needs no inverse.
+residue of p / pi^e, which is eta-bar^(q-2) and needs no inverse.  T * x
+dots each row of T with the nonzero ints of x alone when they are few.
 """
 
 from __future__ import annotations
@@ -80,6 +84,13 @@ _INF = float("inf")
 # under about 1.5 s for every p); and up to 2^21 candidates q^deg for the
 # residue-root scan, each testing q roots (about 2 s at the bound).
 _PRECISION_FACTOR_MAX, _RESIDUE_FIELD_MAX, _SCAN_MAX = 8, 2**64, 2**21
+
+# _ints_mul goes sparse when its nonzero pairs times this share stay under
+# the slot count, _basis_coords when zero ints outnumber nonzero ones this
+# many times.  Replayed on the products and T-reads of verify on Q3zeta3 and
+# Q5zeta5, the sparse product wins below about one pair per 8 slots, and the
+# sparse T-read on one or two nonzero ints of 18 or 20, not on one of 6.
+_SPARSE_SHARE = 8
 
 
 def default_precision(p: int, e: int) -> int:
@@ -433,13 +444,17 @@ class LocalField:
 
     def _data(self, v, N, ints):
         """(v, N, ints) with the ints reduced modulo p^(N-v+k) and v raised
-        by their common p-power beyond the index k; ints that all vanish
-        give v == N."""
+        as _settled raises it."""
         if N <= v:
             return (N, N, [0] * len(ints))
+        mod = self.p ** (N - v + self.index)
+        return self._settled(v, N, [a % mod for a in ints])
+
+    def _settled(self, v, N, ints):
+        """(v, N, ints) for v < N and ints already below p^(N-v+k), such as
+        a product's: v raised by their common p-power beyond the index k;
+        ints that all vanish give v == N."""
         p, k = self.p, self.index
-        mod = p ** (N - v + k)
-        ints = [a % mod for a in ints]
         g = math.gcd(*ints)
         if g == 0:
             return (N, N, ints)
@@ -567,11 +582,19 @@ class LocalField:
             self._caches["table"] = table
         return table
 
+    def _spread(self):
+        """The reduction table as one dict: slot -> the exact (monomial,
+        int) terms it reduces to, (m, 1) for monomial m's own slot."""
+        return _memo(self._caches, "spread", lambda: _spread_of(self._table()))
+
     def _mul(self, x, y):
         """Product, known to min(N_x + v_y, N_y + v_x): one integer product
-        of the monomial ints, pairwise products into the slots and one pass
-        of the reduction table, divided by p^k for the index k, which
-        divides it exactly since x * y lies in p^(v_x + v_y) O."""
+        of the monomial ints, divided by p^k for the index k, which divides
+        it exactly since x * y lies in p^(v_x + v_y) O (one gcd checks it).
+        An operand's ints lie below its own modulus p^(N - v + k), so only
+        an operand whose modulus exceeds the product's p^(N - v + 2k) is
+        reduced first (the product modulo mod does not depend on it).  The
+        quotients lie below p^(N - v + k), so they are not reduced again."""
         vx, Nx, X = x
         vy, Ny, Y = y
         if Nx == _INF or Ny == _INF:
@@ -579,21 +602,45 @@ class LocalField:
         v, N, k = vx + vy, min(Nx + vy, Ny + vx), self.index
         if N <= v:
             return (N, N, [0] * self.degree)
-        mod, pk = self.p ** (N - v + 2 * k), self.p**k
-        Z = self._ints_mul([a % mod for a in X], [a % mod for a in Y], mod)
+        mod = self.p ** (N - v + 2 * k)
+        if Nx - vx > N - v + k:
+            X = [a % mod for a in X]
+        if Ny - vy > N - v + k:
+            Y = [a % mod for a in Y]
+        Z = self._ints_mul(X, Y, mod)
         if k:
-            if any(a % pk for a in Z):
+            pk = self.p**k
+            if math.gcd(*Z) % pk:
                 raise MathCheckError("a product left the lattice of its ring of integers")
             Z = [a // pk for a in Z]
-        return self._data(v, N, Z)
+        return self._settled(v, N, Z)
 
     def _ints_mul(self, X, Y, mod: int) -> list[int]:
         """Monomial ints of X * Y modulo mod: every product of two nonzero
-        ints lands in its slot of the unreduced product, and one pass over
-        the other nonzero slots adds their terms to the monomials' own."""
+        ints lands in its slot of the unreduced product, and the table
+        carries each other slot to the monomials' own.  When the nonzero
+        pairs number under 1/_SPARSE_SHARE of the slot count, a dict holds
+        only the slots they reach and those slots alone are reduced, the
+        sparse accumulator of Gustavson ("Two fast algorithms for sparse
+        matrices", ACM TOMS 4, 1978); otherwise a list holds every slot and
+        one pass over the other nonzero slots adds their terms."""
         slots, size, over = self._table()
-        wide = [0] * size
         ys = [(t, b) for t, b in zip(slots, Y) if b]
+        if (len(X) - X.count(0)) * len(ys) * _SPARSE_SHARE < size:
+            wide = {}
+            for t, a in zip(slots, X):
+                if a:
+                    for u, b in ys:
+                        wide[t + u] = wide.get(t + u, 0) + a * b
+            spread, acc = self._spread(), {}
+            for t, w in wide.items():
+                for m, c in spread[t]:
+                    acc[m] = acc.get(m, 0) + w * c
+            out = [0] * len(slots)
+            for m, a in acc.items():
+                out[m] = a % mod
+            return out
+        wide = [0] * size
         for t, a in zip(slots, X):
             if a:
                 for u, b in ys:
@@ -724,15 +771,19 @@ class LocalField:
     def _basis_coords(self, x):
         """T * x as (n, [(s, a), ...]): the coordinate of r_j * pi^i, at
         position i*f + j, is p^s * a, and every coordinate is known modulo
-        the same p^n, which is p^N_x unless T's own precision ends first."""
+        the same p^n, which is p^N_x unless T's own precision ends first.
+        When the zero ints of x outnumber its nonzero ones _SPARSE_SHARE
+        times over, each row is dotted with the nonzero ints alone."""
         shifts, R, rows, _ = self._basis_inverse()
         v, N, X = x
-        n = min(N, v - self.index + R)
-        out = []
-        for t, row in zip(shifts, rows):
-            s = t + v - self.index
-            out.append((s, sum(map(operator.mul, row, X)) % self.p ** (n - s) if n > s else 0))
-        return n, out
+        n, low, p = min(N, v - self.index + R), v - self.index, self.p
+        zeros = X.count(0)
+        if zeros > _SPARSE_SHARE * (len(X) - zeros):
+            live = [i for i, a in enumerate(X) if a]
+            X = [X[i] for i in live]
+            rows = (map(row.__getitem__, live) for row in rows)
+        return n, [(t + low, sum(map(operator.mul, row, X)) % p ** (n - low - t)
+                    if n > t + low else 0) for t, row in zip(shifts, rows)]
 
     def _read(self, x):
         """One pass of T over x: (v, digits), v as in _val_or_bound and, for
@@ -1212,16 +1263,23 @@ class LocalField:
         return PadicElement(self, acc)
 
 
+def _spread_of(table) -> dict:
+    """slot -> ((monomial, int), ...) of a reduction table, its own slots
+    included."""
+    slots, _, over = table
+    spread = dict(over)
+    spread.update((t, ((m, 1),)) for m, t in enumerate(slots))
+    return spread
+
+
 def _grow_table(table, poly: list[int], d: int):
     """The reduction table of a step of degree d, with low coefficients
     poly, over a level with the given table.  Slot i * W + t, W the slot
     count below, holds gen^i times what slot t holds below: the level's
     table reduces t, and gen^i, for i >= d, comes down by gen^d = -sum
     c_j * gen^j, one power of gen at a time."""
-    slots, size, over = table
-    s = len(slots)
-    below = dict(over)  # slot -> ((monomial, int), ...)
-    below.update((t, ((m, 1),)) for m, t in enumerate(slots))
+    slots, size, _ = table
+    s, below = len(slots), _spread_of(table)
     # powers[k][m] = gen^(d + k) * b_m as {monomial: int}, b_m below
     first = [{} for _ in range(s)]
     for j in range(d):

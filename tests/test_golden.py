@@ -9,9 +9,11 @@ Q3(zeta_3) over the uniformizer on the degrees 0..4, and Q5(zeta_5) over
 the uniformizer.  Q2(2^(1/4)) over 1 + pi^7 on the sequences suite builds
 Kummer tops whose integral basis once lost digits; its files are the
 reports of the flat-list kernel (b76be36), before that loss.  The full Q3(zeta_3) report, 587 KB that print every
-X1, X2, Y and Z basis of its 40 classes, is pinned by its SHA-256.  A
-change to any file or to the hash is a change of the program's output
-and must be deliberate.
+X1, X2, Y and Z basis of its 40 classes, is pinned by its SHA-256, and
+so is the Q5(zeta_5) report over a = 1 + pi^2 (``--a '[1,0,1]'``), whose
+degree-100 tops multiply dense elements, where the uniformizer's
+multiply sparse ones.  A change to any file or to a hash is a change of
+the program's output and must be deliberate.
 """
 
 import hashlib
@@ -56,4 +58,12 @@ def test_full_q3zeta3_report_matches_its_hash(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c0b6339978140a0f2edce1ac1f022ee3f2372017cb9743c77eb278cdf4a34af3"
+    )
+
+
+def test_q5zeta5_dense_class_report_matches_its_hash(capsys):
+    assert cli.main(["verify", "--preset", "Q5zeta5", "--a", "[1,0,1]", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7aeb6cd9802e35dbc36045fec2aae15e8a17d7edde56f7d79011a1c19218640c"
     )
